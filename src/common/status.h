@@ -27,7 +27,6 @@ enum class Code {
   kProtocolError,     // malformed or unauthenticated network message
   kInternal,
   kPartitionRecovering,  // key's partition is quarantined and healing; retry
-  kUnsupportedUnderWal,  // needs the WriteAheadStore facade (e.g. Repartition)
   kFailingOver,          // node is mid-failover; the operation was not applied
 };
 

@@ -219,9 +219,8 @@ Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
   const size_t base = 32 + 16 + sgx::Quote::kSerializedSize;
   ClientHandshakeResult out;
   if (extended) {
-    // A new server always echoes the trailer it was sent; anything else is
-    // a protocol violation (an old server rejects the hello and never gets
-    // here).
+    // The server always echoes the trailer it was sent; anything else is a
+    // protocol violation.
     if (reply->size() != base + kHelloExtBytes) {
       return Status(Code::kProtocolError, "bad server hello");
     }

@@ -57,16 +57,14 @@ class SessionCrypto {
 
 // --- handshake capability trailer ---
 //
-// A new peer may append 4 bytes to its hello: [0x53 'S'][0x54 'T']
-// [u8 version=1][u8 flags], flags bit 0 = request trace propagation. An old
-// server rejects the longer hello outright (the client then falls back to a
-// legacy hello, see Client::Connect), and a new server answers a legacy
-// hello with a byte-identical legacy reply — so mixed-version pairs stay
-// wire-compatible. The trailer rides inside the client hello, which the
-// transcript hash already covers, so the negotiated capabilities are bound
-// into the attestation quote. The reply's echo trailer sits after the quote
-// and is not quote-bound: stripping it can only downgrade tracing, never
-// weaken record protection.
+// A client may append 4 bytes to its hello: [0x53 'S'][0x54 'T']
+// [u8 version=1][u8 flags], flags bit 0 = request trace propagation. The
+// server also accepts the plain 48-byte hello (what non-tracing clients
+// send) and answers it with a reply that carries no trailer. The trailer
+// rides inside the client hello, which the transcript hash already covers,
+// so the negotiated capabilities are bound into the attestation quote. The
+// reply's echo trailer sits after the quote and is not quote-bound:
+// stripping it can only downgrade tracing, never weaken record protection.
 inline constexpr uint8_t kHelloExtMagic0 = 0x53;
 inline constexpr uint8_t kHelloExtMagic1 = 0x54;
 inline constexpr uint8_t kHelloExtVersion = 1;
@@ -106,8 +104,7 @@ Result<Bytes> ClientHandshake(int fd, const sgx::AttestationAuthority& authority
                               const sgx::Measurement& expected);
 
 // Client side with capability negotiation. With request_tracing the hello
-// carries the trailer, which an old server rejects — callers handle that by
-// retrying with the legacy hello (Client::Connect does this automatically).
+// carries the trailer and the reply must echo it.
 Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
                                                 const sgx::AttestationAuthority& authority,
                                                 const sgx::Measurement& expected,

@@ -100,7 +100,6 @@ Status Client::Connect(uint16_t port) {
   port_ = port;
   const int attempts = std::max(options_.connect_attempts, 1);
   int backoff_ms = options_.connect_backoff_ms;
-  bool try_tracing = options_.enable_tracing;
   Status last;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0 && backoff_ms > 0) {
@@ -113,7 +112,7 @@ Status Client::Connect(uint16_t port) {
       continue;
     }
     ClientHandshakeOptions hs;
-    hs.request_tracing = try_tracing;
+    hs.request_tracing = options_.enable_tracing;
     Result<ClientHandshakeResult> handshake =
         ClientHandshakeEx(fd_, authority_, expected_, hs);
     if (handshake.ok()) {
@@ -124,15 +123,6 @@ Status Client::Connect(uint16_t port) {
     }
     last = handshake.status();
     Close();
-    if (try_tracing) {
-      // An old server rejects the extended hello and closes the connection.
-      // Fall back to the legacy hello once (without consuming an attempt)
-      // before treating the failure as real.
-      try_tracing = false;
-      --attempt;
-      backoff_ms = options_.connect_backoff_ms;
-      continue;
-    }
     if (last.code() != Code::kIoError) {
       // Attestation / protocol rejection: retrying cannot help, and hides
       // a possibly-impersonated server behind "transient failure".

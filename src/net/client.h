@@ -33,9 +33,8 @@ struct ClientOptions {
 
   // Request trace propagation at handshake. When granted, sampled ops carry
   // the 16-byte trace-context frame extension. Off by default: a client
-  // without this flag is byte-identical to a pre-tracing client, and a
-  // tracing client talking to an old server falls back to the legacy
-  // handshake automatically (one extra connect attempt).
+  // without this flag sends the plain 48-byte hello, byte-identical to a
+  // pre-tracing client.
   bool enable_tracing = false;
 };
 

@@ -88,40 +88,14 @@ Status WriteAllBytes(const std::string& path, const Bytes& data) {
 
 PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options,
                                    size_t partitions)
-    : enclave_(enclave), base_options_(options) {
+    : enclave_(enclave),
+      base_options_(options),
+      persist_(!options.persist_dir.empty()),
+      locks_(std::max<size_t>(partitions, 1)),
+      quarantined_(locks_.size()) {
   enclave_.ReadRand(MutableByteSpan(route_key_.data(), route_key_.size()));
-  partitions_ = BuildPartitions(std::max<size_t>(partitions, 1));
-  locks_.clear();
-  quarantined_.clear();
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    locks_.push_back(std::make_unique<std::mutex>());
-    quarantined_.push_back(std::make_unique<std::atomic<bool>>(false));
-    // A partition whose arena file failed to open must never serve: its
-    // durable state is unreachable, so it starts quarantined.
-    if (persist_ && arenas_[i] == nullptr) {
-      quarantined_[i]->store(true, std::memory_order_release);
-    }
-  }
-}
-
-Options PartitionedStore::PartitionOptions(size_t count) const {
-  Options per_partition = base_options_;
-  per_partition.num_buckets = std::max<size_t>(base_options_.num_buckets / count, 1);
-  per_partition.num_mac_hashes =
-      base_options_.num_mac_hashes == 0
-          ? 0
-          : std::max<size_t>(base_options_.num_mac_hashes / count, 1);
-  per_partition.cache_bytes = base_options_.cache_bytes / count;
-  per_partition.cache_slots = base_options_.cache_slots / count;
-  return per_partition;
-}
-
-std::vector<std::unique_ptr<Store>> PartitionedStore::BuildPartitions(size_t count) {
+  const size_t count = locks_.size();
   Options per_partition = PartitionOptions(count);
-  std::vector<std::unique_ptr<Store>> result;
-  result.reserve(count);
-  persist_ = !base_options_.persist_dir.empty();
-  arenas_.clear();
   if (persist_) {
     std::error_code ec;
     std::filesystem::create_directories(base_options_.persist_dir, ec);
@@ -139,16 +113,28 @@ std::vector<std::unique_ptr<Store>> PartitionedStore::BuildPartitions(size_t cou
         arenas_.push_back(std::move(arena));
       } else {
         // Unusable heap file (corrupt superblock, geometry drift, IO error):
-        // the partition is built volatile but starts quarantined (see ctor)
-        // and attach is latched failed — it never serves until the file is
-        // restored.
+        // its durable state is unreachable, so the partition is built
+        // volatile, starts quarantined, and attach is latched failed — it
+        // never serves until the file is restored.
         arenas_.push_back(nullptr);
         attach_failed_.store(true, std::memory_order_release);
+        quarantined_[i].store(true, std::memory_order_release);
       }
     }
-    result.push_back(std::make_unique<Store>(enclave_, per_partition));
+    partitions_.push_back(std::make_unique<Store>(enclave_, per_partition));
   }
-  return result;
+}
+
+Options PartitionedStore::PartitionOptions(size_t count) const {
+  Options per_partition = base_options_;
+  per_partition.num_buckets = std::max<size_t>(base_options_.num_buckets / count, 1);
+  per_partition.num_mac_hashes =
+      base_options_.num_mac_hashes == 0
+          ? 0
+          : std::max<size_t>(base_options_.num_mac_hashes / count, 1);
+  per_partition.cache_bytes = base_options_.cache_bytes / count;
+  per_partition.cache_slots = base_options_.cache_slots / count;
+  return per_partition;
 }
 
 Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer) {
@@ -166,7 +152,6 @@ Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer)
     if (key.value().size() != route_key_.size()) {
       return Status(Code::kIntegrityFailure, "sealed route key malformed");
     }
-    std::unique_lock<std::shared_mutex> structure(structure_mutex_);
     std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
     return Status::Ok();
   }
@@ -179,26 +164,16 @@ Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer)
   return WriteAllBytes(path, sealer.Seal(key, aad));
 }
 
-size_t PartitionedStore::num_partitions() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return partitions_.size();
-}
-
-size_t PartitionedStore::PartitionOfLocked(std::string_view key) const {
+size_t PartitionedStore::PartitionOf(std::string_view key) const {
   const uint64_t h = crypto::SipHash24(route_key_, AsBytes(key));
   // Contiguous division of the hash space: hash / (2^64 / P).
   return static_cast<size_t>(
       (static_cast<unsigned __int128>(h) * partitions_.size()) >> 64);
 }
 
-size_t PartitionedStore::PartitionOf(std::string_view key) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return PartitionOfLocked(key);
-}
-
 void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
   if (s.code() == Code::kIntegrityFailure || s.code() == Code::kRollbackDetected) {
-    if (!quarantined_[p]->exchange(true, std::memory_order_release)) {
+    if (!quarantined_[p].exchange(true, std::memory_order_release)) {
       // Transition only: a quarantined partition fast-fails every op, so
       // auditing each outcome would flood the chain with duplicates.
       obs::AuditEvent(obs::AuditType::kQuarantineEnter,
@@ -208,7 +183,7 @@ void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
 }
 
 Status PartitionedStore::QuarantineGuard(size_t p) const {
-  if (quarantined_[p]->load(std::memory_order_acquire)) {
+  if (quarantined_[p].load(std::memory_order_acquire)) {
     // Typed fast-fail: the partition is quarantined and (in a self-healing
     // deployment) being rebuilt; the operation was not applied and is safe
     // to retry once recovery re-admits the partition.
@@ -219,26 +194,23 @@ Status PartitionedStore::QuarantineGuard(size_t p) const {
 }
 
 bool PartitionedStore::IsQuarantined(size_t p) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return p < quarantined_.size() && quarantined_[p]->load(std::memory_order_acquire);
+  return p < quarantined_.size() && quarantined_[p].load(std::memory_order_acquire);
 }
 
 size_t PartitionedStore::QuarantinedCount() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   size_t count = 0;
   for (const auto& flag : quarantined_) {
-    count += flag->load(std::memory_order_acquire) ? 1 : 0;
+    count += flag.load(std::memory_order_acquire) ? 1 : 0;
   }
   return count;
 }
 
 void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   snap.SetGauge("store.partitions", static_cast<int64_t>(partitions_.size()));
   snap.SetCounter("store.scrub_cycles", scrub_cycles_.load(std::memory_order_relaxed));
   int64_t quarantined = 0;
   for (size_t p = 0; p < quarantined_.size(); ++p) {
-    const bool q = quarantined_[p]->load(std::memory_order_acquire);
+    const bool q = quarantined_[p].load(std::memory_order_acquire);
     quarantined += q ? 1 : 0;
     if (q) {
       // One gauge per quarantined partition: operators see WHICH partition
@@ -250,10 +222,9 @@ void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
 }
 
 Status PartitionedStore::ScrubAll() {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     if (Status g = QuarantineGuard(p); !g.ok()) {
       if (first.ok()) {
         first = g;
@@ -270,7 +241,6 @@ Status PartitionedStore::ScrubAll() {
 }
 
 Status PartitionedStore::ScrubTick(size_t bucket_budget) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (bucket_budget == 0) {
     bucket_budget = base_options_.scrub_budget_buckets;
   }
@@ -283,8 +253,8 @@ Status PartitionedStore::ScrubTick(size_t bucket_budget) {
   // matter how budget and geometry divide.
   for (size_t visited = 0; visited < partitions_.size() && remaining > 0; ++visited) {
     const size_t p = scrub_partition_.load(std::memory_order_relaxed) % partitions_.size();
-    std::lock_guard<std::mutex> lock(*locks_[p]);
-    if (quarantined_[p]->load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(locks_[p]);
+    if (quarantined_[p].load(std::memory_order_acquire)) {
       // Untrusted state pending recovery: nothing to audit here.
       scrub_partition_.store(p + 1, std::memory_order_relaxed);
       continue;
@@ -311,11 +281,10 @@ Status PartitionedStore::ScrubTick(size_t bucket_budget) {
 
 Status PartitionedStore::WithPartitionLocked(size_t p,
                                              const std::function<Status(Store&)>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -324,12 +293,12 @@ Status PartitionedStore::WithPartitionLocked(size_t p,
   return s;
 }
 
-Status PartitionedStore::SnapshotPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                                 sgx::MonotonicCounterService& counters,
-                                                 const std::string& directory,
-                                                 Snapshotter::CrashPoint crash) {
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (quarantined_[p]->load(std::memory_order_acquire)) {
+Status PartitionedStore::SnapshotOne(size_t p, const sgx::SealingService& sealer,
+                                     sgx::MonotonicCounterService& counters,
+                                     const std::string& directory,
+                                     Snapshotter::CrashPoint crash) {
+  std::lock_guard<std::mutex> lock(locks_[p]);
+  if (quarantined_[p].load(std::memory_order_acquire)) {
     // Never persist state that failed integrity: the previous generation
     // in this partition's directory is the last trustworthy one.
     return Status(Code::kIntegrityFailure,
@@ -355,7 +324,7 @@ Status PartitionedStore::SnapshotPartitionLocked(size_t p, const sgx::SealingSer
   return snap.SnapshotNow();
 }
 
-Status PartitionedStore::EnsureManifestLocked(const std::string& directory) const {
+Status PartitionedStore::EnsureManifest(const std::string& directory) const {
   FILE* existing = std::fopen((directory + "/manifest").c_str(), "r");
   if (existing != nullptr) {
     size_t recorded = 0;
@@ -384,11 +353,10 @@ Status PartitionedStore::EnsureManifestLocked(const std::string& directory) cons
 Status PartitionedStore::SnapshotAll(const sgx::SealingService& sealer,
                                      sgx::MonotonicCounterService& counters,
                                      const std::string& directory) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   // Rewrite the manifest unconditionally: a full snapshot is the geometry
-  // authority (Repartition may have changed the partition count).
+  // authority (a boot-time restore may have changed the partition count).
   FILE* manifest = std::fopen((directory + "/manifest").c_str(), "w");
   if (manifest == nullptr) {
     return Status(Code::kIoError, "cannot write snapshot manifest in " + directory);
@@ -400,8 +368,7 @@ Status PartitionedStore::SnapshotAll(const sgx::SealingService& sealer,
 
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (Status s = SnapshotPartitionLocked(p, sealer, counters, directory,
-                                           Snapshotter::CrashPoint::kNone);
+    if (Status s = SnapshotOne(p, sealer, counters, directory, Snapshotter::CrashPoint::kNone);
         !s.ok() && first.ok()) {
       first = s;
     }
@@ -413,14 +380,13 @@ Status PartitionedStore::SnapshotPartition(size_t p, const sgx::SealingService& 
                                            sgx::MonotonicCounterService& counters,
                                            const std::string& directory,
                                            Snapshotter::CrashPoint crash) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
-  if (Status s = EnsureManifestLocked(directory); !s.ok()) {
+  if (Status s = EnsureManifest(directory); !s.ok()) {
     return s;
   }
-  return SnapshotPartitionLocked(p, sealer, counters, directory, crash);
+  return SnapshotOne(p, sealer, counters, directory, crash);
 }
 
 Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
@@ -466,7 +432,6 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
                                           sgx::MonotonicCounterService& counters,
                                           const std::string& directory,
                                           const OpLogOptions* oplog) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
@@ -486,7 +451,7 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
     return Status(Code::kInvalidArgument, "snapshot manifest partition count mismatch");
   }
 
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   const PersistOptions persist{directory + "/p" + std::to_string(p), /*optimized=*/false};
   Result<std::unique_ptr<Store>> restored = Snapshotter::Recover(
       enclave_, PartitionOptions(partitions_.size()), sealer, counters, persist);
@@ -495,14 +460,14 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
   }
   if (oplog != nullptr) {
     PartitionFilterStore scoped(*restored.value(), [this, p](std::string_view key) {
-      return PartitionOfLocked(key) == p;
+      return PartitionOf(key) == p;
     });
     if (Status s = OperationLog::Replay(sealer, counters, *oplog, scoped); !s.ok()) {
       return s;
     }
   }
   partitions_[p] = std::move(restored.value());
-  if (quarantined_[p]->exchange(false, std::memory_order_release)) {
+  if (quarantined_[p].exchange(false, std::memory_order_release)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " rebuilt from snapshot+log");
   }
@@ -516,7 +481,7 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
   if (!persist_ || arenas_[p] == nullptr) {
     return Status(Code::kInvalidArgument, "partition has no persistent arena");
   }
-  if (quarantined_[p]->load(std::memory_order_acquire)) {
+  if (quarantined_[p].load(std::memory_order_acquire)) {
     // Never commit state that failed integrity as the trusted generation.
     return Status(Code::kIntegrityFailure,
                   "partition " + std::to_string(p) + " quarantined; checkpoint skipped");
@@ -554,23 +519,21 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
 
 Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService& sealer,
                                              sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   return CheckpointPartitionLocked(p, sealer, counters);
 }
 
 Status PartitionedStore::CheckpointAll(const sgx::SealingService& sealer,
                                        sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     if (Status s = CheckpointPartitionLocked(p, sealer, counters); !s.ok() && first.ok()) {
       first = s;
     }
@@ -611,13 +574,12 @@ Status PartitionedStore::AttachPartitionLocked(size_t p, const sgx::SealingServi
 
 Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
                                           sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     if (arenas_[p] == nullptr) {
       continue;  // already latched failed + quarantined at build time
     }
@@ -626,7 +588,7 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
     }
     if (Status s = AttachPartitionLocked(p, sealer, counters); !s.ok()) {
       attach_failed_.store(true, std::memory_order_release);
-      if (!quarantined_[p]->exchange(true, std::memory_order_release)) {
+      if (!quarantined_[p].exchange(true, std::memory_order_release)) {
         obs::AuditEvent(obs::AuditType::kQuarantineEnter,
                         "partition " + std::to_string(p) + " attach refused: " + s.message());
       }
@@ -639,7 +601,6 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
 }
 
 Status PartitionedStore::RecoverPersistPartition(size_t p) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
@@ -650,7 +611,7 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
     return Status(Code::kIntegrityFailure,
                   "persistent attach failed; restore the heap files from a replica");
   }
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   // No clean disk baseline exists apart from the heap file itself (page
   // writeback persists tampers too), so recovery is a full audit: clean
   // chains re-admit the partition, anything else keeps it fenced.
@@ -658,70 +619,16 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
   if (!report.status.ok()) {
     return report.status;
   }
-  if (quarantined_[p]->exchange(false, std::memory_order_release)) {
+  if (quarantined_[p].exchange(false, std::memory_order_release)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " persistent scrub clean");
   }
   return Status::Ok();
 }
 
-Status PartitionedStore::Repartition(size_t new_partitions) {
-  if (layout_pinned_.load(std::memory_order_acquire)) {
-    return Status(Code::kUnsupportedUnderWal,
-                  "store is wrapped by a write-ahead log; repartition through the facade");
-  }
-  return RepartitionInternal(new_partitions);
-}
-
-Status PartitionedStore::RepartitionInternal(size_t new_partitions) {
-  if (persist_) {
-    // Re-routing keys would orphan every persisted chain; the heap files pin
-    // the partition count for the lifetime of the data set.
-    return Status(Code::kUnsupported, "repartition unsupported with --persist-heap");
-  }
-  new_partitions = std::max<size_t>(new_partitions, 1);
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
-  if (new_partitions == partitions_.size()) {
-    return Status::Ok();
-  }
-  for (const auto& flag : quarantined_) {
-    if (flag->load(std::memory_order_acquire)) {
-      return Status(Code::kIntegrityFailure,
-                    "cannot repartition with a quarantined partition; recover it first");
-    }
-  }
-  // Build the new layout, then stream every live entry across. Each entry
-  // is decrypted (and integrity-verified) by its old partition and re-sealed
-  // under its new partition's keys.
-  std::vector<std::unique_ptr<Store>> rebuilt = BuildPartitions(new_partitions);
-  const auto route = [&](std::string_view key) {
-    const uint64_t h = crypto::SipHash24(route_key_, AsBytes(key));
-    return static_cast<size_t>(
-        (static_cast<unsigned __int128>(h) * new_partitions) >> 64);
-  };
-  for (const auto& old_partition : partitions_) {
-    const Status s = old_partition->ForEachDecrypted(
-        [&](std::string_view key, std::string_view value) {
-          return rebuilt[route(key)]->Set(key, value);
-        });
-    if (!s.ok()) {
-      return s;  // store unchanged: `rebuilt` is dropped
-    }
-  }
-  partitions_ = std::move(rebuilt);
-  locks_.clear();
-  quarantined_.clear();
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    locks_.push_back(std::make_unique<std::mutex>());
-    quarantined_.push_back(std::make_unique<std::atomic<bool>>(false));
-  }
-  return Status::Ok();
-}
-
 Status PartitionedStore::Set(std::string_view key, std::string_view value) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  const size_t p = PartitionOf(key);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -731,9 +638,8 @@ Status PartitionedStore::Set(std::string_view key, std::string_view value) {
 }
 
 Result<std::string> PartitionedStore::Get(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  const size_t p = PartitionOf(key);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -743,9 +649,8 @@ Result<std::string> PartitionedStore::Get(std::string_view key) {
 }
 
 Status PartitionedStore::Delete(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  const size_t p = PartitionOf(key);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -755,9 +660,8 @@ Status PartitionedStore::Delete(std::string_view key) {
 }
 
 Status PartitionedStore::Append(std::string_view key, std::string_view suffix) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  const size_t p = PartitionOf(key);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -767,9 +671,8 @@ Status PartitionedStore::Append(std::string_view key, std::string_view suffix) {
 }
 
 Result<int64_t> PartitionedStore::Increment(std::string_view key, int64_t delta) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
+  const size_t p = PartitionOf(key);
+  std::lock_guard<std::mutex> lock(locks_[p]);
   if (Status g = QuarantineGuard(p); !g.ok()) {
     return g;
   }
@@ -781,19 +684,18 @@ Result<int64_t> PartitionedStore::Increment(std::string_view key, int64_t delta)
 std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Group op indices by partition, preserving original order within each
   // group. Cross-partition ops commute (a key maps to one partition), so
   // ascending-partition execution yields the sequential final state.
   std::vector<std::vector<size_t>> groups(partitions_.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    groups[PartitionOfLocked(ops[i].key)].push_back(i);
+    groups[PartitionOf(ops[i].key)].push_back(i);
   }
   for (size_t p = 0; p < groups.size(); ++p) {
     if (groups[p].empty()) {
       continue;
     }
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     Store& store = *partitions_[p];
     store.BeginMacBatch();
     for (const size_t i : groups[p]) {
@@ -816,20 +718,18 @@ std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
 }
 
 size_t PartitionedStore::Size() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   size_t total = 0;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     total += partitions_[p]->Size();
   }
   return total;
 }
 
 kv::StoreStats PartitionedStore::stats() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   kv::StoreStats total;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
+    std::lock_guard<std::mutex> lock(locks_[p]);
     const kv::StoreStats s = partitions_[p]->stats();
     total.gets += s.gets;
     total.sets += s.sets;

@@ -12,9 +12,10 @@
 //  * convenience facade: the KeyValueStore methods below route internally
 //    and take a per-partition mutex, for examples and mixed callers.
 //
-// Repartition() implements the dynamic parallelism adjustment the paper
-// leaves as future work (current SGX cannot change enclave thread counts at
-// runtime; the simulation has no such restriction).
+// The partition count is fixed at construction. Like the paper, which
+// leaves dynamic parallelism adjustment as future work (SGX cannot change
+// enclave thread counts at runtime), a geometry change happens only at
+// boot: restore re-routes snapshots and replays logs into the new layout.
 //
 // Quarantine (robustness extension): a facade operation that detects
 // tampering (kIntegrityFailure / kRollbackDetected) quarantines its
@@ -29,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -48,20 +48,10 @@ class PartitionedStore : public kv::KeyValueStore {
   // partitions (likewise num_mac_hashes, cache_bytes and cache_slots).
   PartitionedStore(sgx::Enclave& enclave, const Options& options, size_t partitions);
 
-  size_t num_partitions() const;
+  size_t num_partitions() const { return partitions_.size(); }
   size_t PartitionOf(std::string_view key) const;
-  // Direct partition access for partition-owned threads. Callers in that
-  // mode must not call Repartition concurrently.
+  // Direct partition access for partition-owned threads.
   Store& partition(size_t p) { return *partitions_[p]; }
-
-  // Dynamic parallelism adjustment — §5.3's future work: rebuilds the store
-  // with `new_partitions` partitions, re-encrypting every entry under the
-  // new partitions' keys. Facade calls block for the duration. Fails (store
-  // unchanged) if any entry fails integrity verification, and with the
-  // typed kUnsupportedUnderWal while a WriteAheadStore wraps this store —
-  // re-routing keys without re-splitting the shard logs would corrupt
-  // recovery, so repartitioning must go through the facade.
-  Status Repartition(size_t new_partitions);
 
   // --- Quarantine and per-partition recovery ---
 
@@ -150,7 +140,9 @@ class PartitionedStore : public kv::KeyValueStore {
   // Keys must route identically across restarts in persist mode (chains are
   // rebuilt from the per-partition files, not re-routed). The route key is
   // sealed into `persist_dir/route.seal` on first boot and re-loaded before
-  // any attach or replay; tampering with the blob fails typed.
+  // any attach or replay; tampering with the blob fails typed. Boot-time
+  // only: it rewrites the route key without a lock, so it must run before
+  // the store serves any operation.
   Status LoadOrCreateRouteKey(const sgx::SealingService& sealer);
 
   // Arena checkpoint of one/all partitions: seals the secure metadata bound
@@ -205,32 +197,19 @@ class PartitionedStore : public kv::KeyValueStore {
   kv::StoreStats stats() const override;
 
  private:
-  friend class WriteAheadStore;  // repartitions via RepartitionInternal
-
   Options PartitionOptions(size_t count) const;
-  // Non-const: in persist mode this opens (or creates) the per-partition
-  // arena files and wires each into its Store's options.
-  std::vector<std::unique_ptr<Store>> BuildPartitions(size_t count);
-  size_t PartitionOfLocked(std::string_view key) const;
-  // Checkpoint one partition; caller holds structure_mutex_ (shared) and the
-  // partition lock.
+  // Checkpoint one partition; caller holds the partition lock.
   Status CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
                                    sgx::MonotonicCounterService& counters);
-  // Attach one partition; caller holds the locks as above.
+  // Attach one partition; caller holds the partition lock.
   Status AttachPartitionLocked(size_t p, const sgx::SealingService& sealer,
                                sgx::MonotonicCounterService& counters);
-  // Repartition minus the layout-pin check (the WAL facade drains and
-  // re-splits its logs around this call).
-  Status RepartitionInternal(size_t new_partitions);
-  // While pinned (a WriteAheadStore wraps this store), direct Repartition
-  // returns kUnsupportedUnderWal.
-  void PinLayout(bool pinned) { layout_pinned_.store(pinned, std::memory_order_release); }
-  // Snapshot one partition; caller holds structure_mutex_ (shared).
-  Status SnapshotPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                 sgx::MonotonicCounterService& counters,
-                                 const std::string& directory, Snapshotter::CrashPoint crash);
+  // Audits and snapshots one partition under its lock (no manifest work).
+  Status SnapshotOne(size_t p, const sgx::SealingService& sealer,
+                     sgx::MonotonicCounterService& counters, const std::string& directory,
+                     Snapshotter::CrashPoint crash);
   // Writes the manifest, or verifies it if present (see SnapshotPartition).
-  Status EnsureManifestLocked(const std::string& directory) const;
+  Status EnsureManifest(const std::string& directory) const;
   // Quarantines partition `p` when `s` carries an integrity-class code.
   void NoteOutcome(size_t p, const Status& s);
   Status QuarantineGuard(size_t p) const;
@@ -238,22 +217,18 @@ class PartitionedStore : public kv::KeyValueStore {
   sgx::Enclave& enclave_;
   Options base_options_;  // the TOTAL geometry, before per-partition split
   crypto::SipHashKey route_key_{};
-  // structure_mutex_ guards the partition layout (shared for ops, exclusive
-  // for Repartition); per-partition mutexes serialize ops within a partition.
-  mutable std::shared_mutex structure_mutex_;
   // Declared before partitions_ so the arenas (whose mappings the Stores'
   // chain refs point into) outlive the Stores during destruction.
   std::vector<std::unique_ptr<alloc::PersistentArena>> arenas_;
   bool persist_ = false;
   std::atomic<bool> attach_failed_{false};
   std::vector<std::unique_ptr<Store>> partitions_;
-  mutable std::vector<std::unique_ptr<std::mutex>> locks_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> quarantined_;
+  mutable std::vector<std::mutex> locks_;
+  std::vector<std::atomic<bool>> quarantined_;
   // ScrubTick round-robin state (atomic so a second caller is merely
   // wasteful, not racy).
   std::atomic<size_t> scrub_partition_{0};
   std::atomic<uint64_t> scrub_cycles_{0};
-  std::atomic<bool> layout_pinned_{false};
 };
 
 }  // namespace shield::shieldstore

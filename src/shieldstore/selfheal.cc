@@ -45,21 +45,9 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   compacted_bytes_ = &metrics_->GetCounter("wal.compacted_bytes");
   window_gauge_ = &metrics_->GetGauge("wal.window_us");
   window_gauge_->Set(static_cast<int64_t>(options_.group_commit_window_us));
-  BuildShards();
-  // Direct Repartition() would re-route keys without re-splitting the shard
-  // logs, silently corrupting recovery; force callers through our facade.
-  inner_.PinLayout(true);
-}
-
-WriteAheadStore::~WriteAheadStore() {
-  inner_.PinLayout(false);
-}
-
-void WriteAheadStore::BuildShards() {
-  const size_t parts = std::max<size_t>(inner_.num_partitions(), 1);
+  const size_t parts = inner_.num_partitions();
   size_t n = options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts);
   n = std::max<size_t>(n, 1);
-  shards_.clear();
   for (size_t i = 0; i < n; ++i) {
     OpLogOptions per_shard = options_;
     per_shard.path = options_.path + ".p" + std::to_string(i);
@@ -101,11 +89,8 @@ void WriteAheadStore::ShipLocked(Shard& s) {
 }
 
 Status WriteAheadStore::Open() {
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    // A crashed Repartition() may have left a dump twin behind.
-    std::remove((s.options.path + ".tmp").c_str());
     s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
     if (Status st = s.log->Open(); !st.ok()) {
       return st;
@@ -284,8 +269,7 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
 }
 
 Status WriteAheadStore::Set(std::string_view key, std::string_view value) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
+  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
   std::unique_lock<std::mutex> lock(s.mutex);
   if (!s.failed.ok()) {
     return s.failed;
@@ -308,8 +292,7 @@ Result<std::string> WriteAheadStore::Get(std::string_view key) {
 }
 
 Status WriteAheadStore::Delete(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
+  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
   std::unique_lock<std::mutex> lock(s.mutex);
   if (!s.failed.ok()) {
     return s.failed;
@@ -328,8 +311,7 @@ Status WriteAheadStore::Delete(std::string_view key) {
 }
 
 Status WriteAheadStore::Append(std::string_view key, std::string_view suffix) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
+  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
   std::unique_lock<std::mutex> lock(s.mutex);
   if (!s.failed.ok()) {
     return s.failed;
@@ -354,8 +336,7 @@ Status WriteAheadStore::Append(std::string_view key, std::string_view suffix) {
 }
 
 Result<int64_t> WriteAheadStore::Increment(std::string_view key, int64_t delta) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
+  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
   std::unique_lock<std::mutex> lock(s.mutex);
   if (!s.failed.ok()) {
     return s.failed;
@@ -383,7 +364,6 @@ Result<int64_t> WriteAheadStore::Increment(std::string_view key, int64_t delta) 
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Group op indices by shard, preserving original order within a group —
   // a key maps to one partition, a partition to one shard, so per-key order
   // survives the grouping and the replay invariant (each log's record order
@@ -391,7 +371,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
   std::vector<std::vector<size_t>> groups(shards_.size());
   std::vector<size_t> mutations(shards_.size(), 0);
   for (size_t i = 0; i < ops.size(); ++i) {
-    const size_t sh = ShardOfLocked(inner_.PartitionOf(ops[i].key));
+    const size_t sh = ShardOfPartition(inner_.PartitionOf(ops[i].key));
     groups[sh].push_back(i);
     if (ops[i].type != kv::BatchOpType::kGet) {
       ++mutations[sh];
@@ -496,7 +476,7 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
     return st;
   }
   // A maintenance commit durable-izes records no leader will ever drain;
-  // ship them under the lock (rare path: heal/compact/repartition windows).
+  // ship them under the lock (rare path: heal/compact/export windows).
   ShipLocked(s);
   s.durable = s.appended;
   s.cv.notify_all();
@@ -505,7 +485,6 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
 
 Status WriteAheadStore::WithCommittedShard(size_t shard_index,
                                            const std::function<Status()>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return Status(Code::kInvalidArgument, "no such shard");
   }
@@ -518,7 +497,6 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
 }
 
 Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Lock every shard in index order (the one ordering everywhere, so no
   // deadlock) and commit each; `fn` then sees the whole store drained.
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -534,7 +512,6 @@ Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
 
 Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& directory,
                                      CompactionCrash crash) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return Status(Code::kInvalidArgument, "no such shard");
   }
@@ -591,17 +568,16 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
     s.cv.notify_all();
     return st;
   }
-  // The WAL record sequence resets with the truncated log, but ship_seq
-  // survives: follower watermarks must never move backwards.
-  s.appended = s.durable = 0;
-  s.cv.notify_all();
+  // appended/durable keep counting across the truncation: a follower woken
+  // after this point still holds a sequence from before it, and must find it
+  // durable (CommitShardLocked left durable == appended), not lead empty
+  // commits until new appends catch up with it.
   s.ctr_compactions->Inc();
   compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 Status WriteAheadStore::ResetAllLogs() {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     std::unique_lock<std::mutex> lock(s.mutex);
@@ -613,29 +589,20 @@ Status WriteAheadStore::ResetAllLogs() {
       s.cv.notify_all();
       return st;
     }
-    s.appended = s.durable = 0;
   }
   // Stale shard files beyond the current count (a previous, wider geometry)
-  // and the legacy unsharded log are subsumed by the caller's snapshot.
+  // are subsumed by the caller's snapshot.
   for (size_t i = shards_.size();; ++i) {
     const std::string stale = options_.path + ".p" + std::to_string(i);
     if (std::remove(stale.c_str()) != 0) {
       break;
     }
   }
-  std::remove(options_.path.c_str());
   return Status::Ok();
 }
 
 std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
   std::vector<OpLogOptions> found;
-  // Legacy single-file log first (a pre-sharding deployment being upgraded);
-  // order does not affect convergence — see RestoreFromDisk — but oldest
-  // first reads naturally.
-  if (std::filesystem::exists(options_.path)) {
-    OpLogOptions legacy = options_;
-    found.push_back(std::move(legacy));
-  }
   for (size_t i = 0;; ++i) {
     OpLogOptions per_shard = options_;
     per_shard.path = options_.path + ".p" + std::to_string(i);
@@ -648,7 +615,6 @@ std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
 }
 
 Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   const auto restore_start = std::chrono::steady_clock::now();
   // heap.restart_ns records the whole baseline-plus-tail restore (the number
   // the persistent heap exists to shrink); set only on success.
@@ -692,34 +658,24 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
     }
     return Status::Ok();
   };
-  size_t first_shard = 0;
-  if (!logs.empty() && logs[0].path == options_.path) {
-    // Legacy single-file log: predates the shard split, so it can hold any
-    // key — replay it alone and first so shard records stay newest.
-    if (Status st = replay_one(logs[0]); !st.ok()) {
-      return st;
-    }
-    first_shard = 1;
-  }
   // Shard logs of one epoch hold disjoint key sets, and cross-epoch
   // leftovers converge (each log's last record per key is that key's final
   // state) — so they can replay concurrently: the facade's partition locks
   // serialize same-key application, and differently-keyed records commute.
-  const size_t pending = logs.size() - first_shard;
   size_t threads =
       options_.replay_threads == 0
           ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
           : options_.replay_threads;
-  threads = std::min(std::max<size_t>(threads, 1), pending);
+  threads = std::min(std::max<size_t>(threads, 1), logs.size());
   if (threads <= 1) {
-    for (size_t i = first_shard; i < logs.size(); ++i) {
-      if (Status st = replay_one(logs[i]); !st.ok()) {
+    for (const OpLogOptions& log : logs) {
+      if (Status st = replay_one(log); !st.ok()) {
         return st;
       }
     }
     return finish(Status::Ok());
   }
-  std::atomic<size_t> next{first_shard};
+  std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;
   std::vector<std::thread> pool;
@@ -746,104 +702,7 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   return finish(first_error);
 }
 
-Status WriteAheadStore::Repartition(size_t new_partitions,
-                                    const std::function<Status()>& rebaseline) {
-  new_partitions = std::max<size_t>(new_partitions, 1);
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
-  // Exclusive structure lock: no mutation is in flight, no leader is mid-
-  // commit. Commit every shard so the logs end exactly at the live state.
-  for (auto& shard_ptr : shards_) {
-    Shard& s = *shard_ptr;
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (Status st = CommitShardLocked(s, lock); !st.ok()) {
-      return st;
-    }
-  }
-  if (Status st = inner_.RepartitionInternal(new_partitions); !st.ok()) {
-    return st;  // store unchanged; old logs still authoritative
-  }
-  shards_.clear();  // closes the old shard logs (each commits on destruction)
-  BuildShards();
-
-  if (rebaseline != nullptr) {
-    // Healer path: snapshot the new geometry, then fresh log epochs — the
-    // exact Start() invariant, re-established. Crash windows converge: the
-    // old logs' final values equal the snapshotted state.
-    if (Status st = rebaseline(); !st.ok()) {
-      return st;
-    }
-    for (auto& shard_ptr : shards_) {
-      Shard& s = *shard_ptr;
-      std::remove(s.options.path.c_str());
-      s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-      if (Status st = s.log->Open(); !st.ok()) {
-        return st;
-      }
-      if (Status st = s.log->Reset(); !st.ok()) {  // bind a fresh epoch
-        return st;
-      }
-    }
-  } else {
-    // Standalone path (no snapshots): dump the full state into new shard
-    // logs at .tmp twins, commit them, then rename over the real paths.
-    // Crash anywhere: every key's final value is in whichever mix of old
-    // and new logs survives, so replay converges.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = *shards_[i];
-      OpLogOptions dump_opts = s.options;
-      dump_opts.path += ".tmp";
-      std::remove(dump_opts.path.c_str());
-      auto dump = std::make_unique<OperationLog>(sealer_, counters_, dump_opts);
-      if (Status st = dump->Open(); !st.ok()) {
-        return st;
-      }
-      for (size_t p = i; p < new_partitions; p += shards_.size()) {
-        const Status st = inner_.WithPartitionLocked(p, [&](Store& partition) {
-          return partition.ForEachDecrypted(
-              [&](std::string_view key, std::string_view value) {
-                return dump->LogSet(key, value);
-              });
-        });
-        if (!st.ok()) {
-          return st;
-        }
-      }
-      if (Status st = dump->Commit(); !st.ok()) {
-        return st;
-      }
-      dump.reset();  // close before rename
-      if (std::rename(dump_opts.path.c_str(), s.options.path.c_str()) != 0) {
-        return Status(Code::kIoError, "cannot install repartitioned log " + s.options.path);
-      }
-      s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-      if (Status st = s.log->Open(); !st.ok()) {
-        return st;
-      }
-    }
-  }
-  // Stale shard files beyond the new count and any legacy log are subsumed.
-  for (size_t i = shards_.size();; ++i) {
-    const std::string stale = options_.path + ".p" + std::to_string(i);
-    if (std::remove(stale.c_str()) != 0) {
-      break;
-    }
-  }
-  std::remove(options_.path.c_str());
-  return Status::Ok();
-}
-
-size_t WriteAheadStore::num_shards() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return shards_.size();
-}
-
-size_t WriteAheadStore::ShardOfPartition(size_t p) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return p % shards_.size();
-}
-
 uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size() || shards_[shard_index]->log == nullptr) {
     return 0;
   }
@@ -851,7 +710,6 @@ uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
 }
 
 uint32_t WriteAheadStore::shard_window_us(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return 0;
   }
@@ -892,12 +750,10 @@ Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
 }
 
 const OpLogOptions& WriteAheadStore::shard_log_options(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   return shards_[shard_index]->options;
 }
 
 WalStats WriteAheadStore::Stats() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   WalStats total;
   total.shards = shards_.size();
   total.compactions = compactions_.load(std::memory_order_relaxed);
@@ -929,7 +785,6 @@ void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
                 sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
   {
     // Widest current adaptive window across shards (0 in legacy mode).
-    std::shared_lock<std::shared_mutex> structure(structure_mutex_);
     uint32_t widest = 0;
     for (const auto& shard_ptr : shards_) {
       widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));
@@ -960,19 +815,9 @@ Status SelfHealer::Start() {
   if (Status st = wal_.inner().SnapshotAll(sealer_, counters_, options_.directory); !st.ok()) {
     return st;
   }
-  // The baseline generation subsumes everything the logs held (including a
-  // legacy unsharded log from before this code): start every shard fresh.
+  // The baseline generation subsumes everything the logs held: start every
+  // shard fresh.
   return wal_.ResetAllLogs();
-}
-
-Status SelfHealer::Repartition(size_t new_partitions) {
-  const Status st = wal_.Repartition(new_partitions, [&] {
-    return wal_.inner().SnapshotAll(sealer_, counters_, options_.directory);
-  });
-  if (st.ok()) {
-    attempts_.assign(wal_.inner().num_partitions(), 0);
-  }
-  return st;
 }
 
 Status SelfHealer::last_error() const {
@@ -1029,29 +874,23 @@ void SelfHealer::Tick() {
   PartitionedStore& store = wal_.inner();
   for (size_t p = 0; p < store.num_partitions(); ++p) {
     if (!store.IsQuarantined(p)) {
-      if (p < attempts_.size()) {
-        attempts_[p] = 0;
-      }
+      attempts_[p] = 0;
       continue;
     }
-    if (p < attempts_.size() && attempts_[p] >= options_.max_recovery_attempts) {
+    if (attempts_[p] >= options_.max_recovery_attempts) {
       continue;  // gave up on this partition; operator intervention needed
     }
     const Status s = RecoverOne(p);
     if (s.ok()) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
-      if (p < attempts_.size()) {
-        attempts_[p] = 0;
-      }
+      attempts_[p] = 0;
       char detail[64];
       std::snprintf(detail, sizeof(detail), "partition %zu recovered and re-admitted", p);
       obs::AuditEvent(obs::AuditType::kRecovery, detail);
       SHIELD_LOG(Info) << "partition " << p << " recovered and re-admitted";
     } else {
       failed_recoveries_.fetch_add(1, std::memory_order_relaxed);
-      if (p < attempts_.size()) {
-        ++attempts_[p];
-      }
+      ++attempts_[p];
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
     }

@@ -46,7 +46,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -73,14 +72,13 @@ struct WalStats {
 // shard's log (and, with a group-commit window, fsync'd). Per-shard locks
 // serialize (apply + append) so each log's record order is its partitions'
 // apply order, which is what makes per-partition replay deterministic.
-// Get routes straight to the inner store. Repartition() must go through
-// this facade (or SelfHealer) — the inner store pins its layout while
-// wrapped and returns the typed kUnsupportedUnderWal if called directly.
+// Get routes straight to the inner store. The shard vector, like the inner
+// store's partition vector, is fixed at construction; lock order is shard
+// mutex → partition mutex.
 class WriteAheadStore : public kv::KeyValueStore {
  public:
   WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
-  ~WriteAheadStore() override;
 
   // Opens (or reopens) every shard log. Must succeed before serving
   // mutations. Shard i lives at options.path + ".p<i>".
@@ -110,7 +108,7 @@ class WriteAheadStore : public kv::KeyValueStore {
   // its committed tail matches the live counter. Other shards keep serving.
   Status WithCommittedShard(size_t shard, const std::function<Status()>& fn);
   // Same, over every shard at once (drains the whole store; used by
-  // Repartition and tests).
+  // ExportHeapFiles and tests).
   Status WithCommittedLog(const std::function<Status()>& fn);
 
   // --- compaction ---
@@ -137,19 +135,17 @@ class WriteAheadStore : public kv::KeyValueStore {
                       CompactionCrash crash = CompactionCrash::kNone);
 
   // Commits and truncates every shard log to a fresh epoch, deleting any
-  // stale shard files beyond the current count and any legacy single-file
-  // log at options.path. Call right after a baseline SnapshotAll: the
-  // snapshots subsume everything the logs held.
+  // stale shard files beyond the current count. Call right after a baseline
+  // SnapshotAll: the snapshots subsume everything the logs held.
   Status ResetAllLogs();
 
   // Route-agnostic restore of a previous run's durable state into the
   // (empty) inner store: every partition snapshot generation under
   // `snapshot_directory` (the SnapshotAll layout of ANY geometry — the
   // route key is drawn fresh each boot, so keys are re-routed through the
-  // facade), then the committed suffix of every shard log found on disk,
-  // including a legacy unsharded log at options.path. Call after Open() and
-  // before serving; follow with SelfHealer::Start() (or ResetAllLogs()) so
-  // the restored state becomes the new baseline.
+  // facade), then the committed suffix of every shard log found on disk.
+  // Call after Open() and before serving; follow with SelfHealer::Start()
+  // (or ResetAllLogs()) so the restored state becomes the new baseline.
   //
   // With Options::persist_dir the baseline is the mmap'd heap files, not
   // snapshots: the sealed route key is loaded (so routing matches the files'
@@ -157,16 +153,6 @@ class WriteAheadStore : public kv::KeyValueStore {
   // — O(1) in entry count, per-entry MAC verification deferred to first
   // touch — and only the WAL tail replays. Sets the heap.restart_ns gauge.
   Status RestoreFromDisk(const std::string& snapshot_directory);
-
-  // Drains and commits every shard, rebuilds the inner store with
-  // `new_partitions`, re-splits the logs to the new geometry, and installs
-  // fresh shard epochs. `rebaseline` (optional) runs between the rebuild
-  // and the log reset — SelfHealer passes SnapshotAll so recovery inputs
-  // match the new geometry; without it the full state is dumped into the
-  // new shard logs (crash-safe: the old logs are replaced only after the
-  // new ones are committed on disk).
-  Status Repartition(size_t new_partitions,
-                     const std::function<Status()>& rebaseline = nullptr);
 
   // Copies the committed persistent-heap files (p<i>.heap + route.seal) into
   // `destination_dir`, checkpointing every partition first under the full
@@ -178,8 +164,8 @@ class WriteAheadStore : public kv::KeyValueStore {
   Status ExportHeapFiles(const std::string& destination_dir);
 
   PartitionedStore& inner() { return inner_; }
-  size_t num_shards() const;
-  size_t ShardOfPartition(size_t p) const;
+  size_t num_shards() const { return shards_.size(); }
+  size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
   uint64_t ShardLogBytes(size_t shard) const;
   // Current adaptive group-commit window for `shard` (0 in legacy mode).
   uint32_t shard_window_us(size_t shard) const;
@@ -223,25 +209,21 @@ class WriteAheadStore : public kv::KeyValueStore {
     bool committing = false;     // a leader is inside CommitPrepare/Sync
     // Replication: records captured at append time, drained to the sink at
     // commit time. ship_seq counts records ever handed to the sink in a
-    // sequence space that — unlike `appended`, which resets on compaction
-    // and log reset — is monotone for the life of this process; follower
-    // watermarks live in this space.
+    // sequence space that — unlike `appended`, which restarts with Open() —
+    // is monotone for the life of this process; follower watermarks live in
+    // this space.
     std::vector<ReplicatedOp> pending_ship;
     uint64_t ship_seq = 0;
     std::chrono::steady_clock::time_point batch_start{};
     Status failed;  // latched fatal commit error: durability can no longer
                     // be promised, so every later mutation fails fast
-    // Per-shard observability (wal.shard<i>.*), cached in BuildShards.
+    // Per-shard observability (wal.shard<i>.*), cached at construction.
     obs::Counter* ctr_appends = nullptr;
     obs::Counter* ctr_commit_waits = nullptr;
     obs::Counter* ctr_compactions = nullptr;
   };
 
-  void BuildShards();
   Shard& shard(size_t s) { return *shards_[s]; }
-  size_t ShardOfLocked(size_t partition) const {
-    return partition % shards_.size();
-  }
   // Appends one record under `lock` (legacy mode commits inline per the
   // group cadence); durable-window mode assigns the record a sequence.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
@@ -262,9 +244,6 @@ class WriteAheadStore : public kv::KeyValueStore {
   const sgx::SealingService& sealer_;
   sgx::MonotonicCounterService& counters_;
   OpLogOptions options_;
-  // Guards the shard vector itself (shared for ops, exclusive for
-  // Repartition), mirroring the inner store's structure lock.
-  mutable std::shared_mutex structure_mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<uint64_t> compactions_{0};
   std::atomic<ReplicationSink*> sink_{nullptr};
@@ -323,10 +302,6 @@ class SelfHealer {
   // compact at most one oversized shard log, else spend one scrub budget.
   // Single-threaded driver assumed.
   void Tick();
-
-  // Drains the WAL, rebuilds the inner store with `new_partitions`,
-  // rebaselines the snapshots to the new geometry, and resets the logs.
-  Status Repartition(size_t new_partitions);
 
   uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
   uint64_t recoveries() const { return recoveries_.load(std::memory_order_relaxed); }

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -67,6 +68,9 @@ class ConcurrencyTest : public ::testing::Test {
     counter_opts_.increment_cost_cycles = 0;
   }
   ~ConcurrencyTest() override { std::filesystem::remove_all(dir_); }
+
+  // Writers, the compactor and an adversary race on one sharded WAL.
+  void RunCompactionRace(uint32_t group_commit_window_us);
 
   sgx::Enclave enclave_;
   std::string dir_;
@@ -415,11 +419,16 @@ TEST_F(ConcurrencyTest, BatchedWritersRaceScrubHealerAndAdversary) {
   }
 }
 
-TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
+// A group_commit_window_us of 0 acks at append time; a nonzero window makes
+// every ack wait for a group-commit leader, so a compaction that lands
+// between a leader's commit and its followers waking must still let those
+// followers return.
+void ConcurrencyTest::RunCompactionRace(uint32_t group_commit_window_us) {
   // The compactor (maintenance thread) folds shard logs into snapshots
   // while writers append to those same shards, and an adversary forces
   // recoveries that contend for the same shard locks. Nothing may race,
-  // nothing acked may be lost, and compaction must actually run.
+  // nothing acked may be lost, no ack may wedge, and compaction must
+  // actually run.
   constexpr int kWriters = 3;
   constexpr int kKeysPerWriter = 12;
   constexpr int kRounds = 50;
@@ -431,6 +440,7 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
   log_opts.group_commit_ops = 8;
+  log_opts.group_commit_window_us = group_commit_window_us;
   WriteAheadStore wal(ps, sealer, counters, log_opts);
   ASSERT_TRUE(wal.Open().ok());
 
@@ -456,6 +466,7 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
 
   std::vector<std::vector<KeyHistory>> histories(kWriters);
   std::vector<std::thread> writers;
+  std::atomic<int> writers_done{0};
   for (int w = 0; w < kWriters; ++w) {
     histories[w].resize(kKeysPerWriter);
     writers.emplace_back([&, w] {
@@ -472,7 +483,18 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
           }
         }
       }
+      writers_done.fetch_add(1);
     });
+  }
+  // A wedged ack blocks its writer inside Set() forever, where no join can
+  // reach it: fail fast rather than wait out the ctest timeout.
+  const auto writer_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (writers_done.load() < kWriters) {
+    if (std::chrono::steady_clock::now() > writer_deadline) {
+      ADD_FAILURE() << "a durable ack never returned: writers wedged under compaction";
+      std::abort();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   for (auto& t : writers) {
     t.join();
@@ -522,6 +544,12 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
           << key << " holds '" << got.value() << "'";
     }
   }
+}
+
+TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) { RunCompactionRace(0); }
+
+TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversaryUnderCommitWindow) {
+  RunCompactionRace(100);
 }
 
 // Metrics recorders race snapshot readers (run under TSan by check.sh):

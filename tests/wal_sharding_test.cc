@@ -306,76 +306,6 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
   EXPECT_EQ(refused.code(), Code::kPartitionRecovering) << refused.ToString();
 }
 
-TEST_F(WalShardingTest, DirectRepartitionReturnsTypedErrorWhileWrapped) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  {
-    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-    ASSERT_TRUE(wal.Open().ok());
-    const Status s = store.Repartition(2);
-    EXPECT_EQ(s.code(), Code::kUnsupportedUnderWal) << s.ToString();
-    EXPECT_EQ(store.num_partitions(), 4u);
-  }
-  // The pin lifts with the facade.
-  EXPECT_TRUE(store.Repartition(2).ok());
-  EXPECT_EQ(store.num_partitions(), 2u);
-}
-
-TEST_F(WalShardingTest, RepartitionThroughHealerResplitssLogsAndRebaselines) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
-  SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
-  heal_opts.scrub = false;
-  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-  ASSERT_TRUE(healer.Start().ok());
-
-  std::map<std::string, std::string> acked;
-  for (int i = 0; i < 48; ++i) {
-    const std::string key = "repart-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
-    acked[key] = "v" + std::to_string(i);
-  }
-
-  ASSERT_TRUE(healer.Repartition(6).ok());
-  EXPECT_EQ(store.num_partitions(), 6u);
-  EXPECT_EQ(wal.num_shards(), 6u);
-  for (const auto& [key, value] : acked) {
-    const Result<std::string> got = wal.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(got.value(), value);
-  }
-  // Writes after the repartition land in the new shard layout and everything
-  // — pre- and post-repartition acks — survives a restart.
-  for (int i = 0; i < 12; ++i) {
-    const std::string key = "post-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "p" + std::to_string(i)).ok());
-    acked[key] = "p" + std::to_string(i);
-  }
-  // Legacy discipline: ack means logged, durable at the commit cadence —
-  // quiesce (as a clean shutdown would) before simulating the restart.
-  ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  EXPECT_EQ(RestartAndDump(6, LogOptions()), acked);
-}
-
-TEST_F(WalShardingTest, StandaloneRepartitionDumpsStateIntoNewShardLogs) {
-  // No healer, no snapshots on disk: Repartition's fallback path dumps the
-  // full state into the new shard logs, so a restart can still replay it.
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
-  std::map<std::string, std::string> acked;
-  for (int i = 0; i < 32; ++i) {
-    const std::string key = "dump-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
-    acked[key] = "v" + std::to_string(i);
-  }
-  ASSERT_TRUE(wal.Repartition(2).ok());
-  EXPECT_EQ(wal.num_shards(), 2u);
-  EXPECT_FALSE(std::filesystem::exists(dir_ + "/wal.log.p2"));
-  EXPECT_EQ(RestartAndDump(2, LogOptions()), acked);
-}
-
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   PartitionedStore store(enclave_, SmallOptions(), 4);
   OpLogOptions log_opts = LogOptions();
@@ -409,41 +339,6 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   EXPECT_LT(wal.Stats().log_bytes, after.log_bytes);  // logs truncated
 }
 
-TEST_F(WalShardingTest, LegacySingleLogMigratesIntoShardedLayout) {
-  // A PR 2 deployment left one global wal.log. The sharded store must
-  // restore it, then retire it on the first baseline reset.
-  OpLogOptions legacy = LogOptions();
-  std::map<std::string, std::string> acked;
-  {
-    OperationLog log(*sealer_, *counters_, legacy);
-    ASSERT_TRUE(log.Open().ok());
-    for (int i = 0; i < 24; ++i) {
-      const std::string key = "legacy-" + std::to_string(i);
-      ASSERT_TRUE(log.LogSet(key, "old-" + std::to_string(i)).ok());
-      acked[key] = "old-" + std::to_string(i);
-    }
-    ASSERT_TRUE(log.Commit().ok());
-  }
-
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
-  ASSERT_TRUE(wal.RestoreFromDisk(SnapshotDir()).ok());
-  for (const auto& [key, value] : acked) {
-    const Result<std::string> got = wal.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(got.value(), value);
-  }
-
-  SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
-  heal_opts.scrub = false;
-  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-  ASSERT_TRUE(healer.Start().ok());  // baseline + ResetAllLogs retires the file
-  EXPECT_FALSE(std::filesystem::exists(legacy.path));
-  EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);
-}
-
 TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
   // Populate via the sharded WAL, quiesce, then restore twice from the same
   // directory: once sequentially and once on the replay thread pool. Both
@@ -471,39 +366,6 @@ TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
   OpLogOptions parallel = LogOptions();
   parallel.replay_threads = 4;
   EXPECT_EQ(RestartAndDump(4, sequential), acked);
-  EXPECT_EQ(RestartAndDump(4, parallel), acked);
-}
-
-TEST_F(WalShardingTest, ParallelReplayStillReplaysLegacyLogFirst) {
-  // A legacy single-file log predates the shard split and may share keys
-  // with every shard, so it must replay alone before the pool starts: shard
-  // records were written after it and must win.
-  OpLogOptions legacy = LogOptions();
-  {
-    OperationLog log(*sealer_, *counters_, legacy);
-    ASSERT_TRUE(log.Open().ok());
-    for (int i = 0; i < 24; ++i) {
-      ASSERT_TRUE(log.LogSet("mixed-" + std::to_string(i), "legacy").ok());
-    }
-    ASSERT_TRUE(log.Commit().ok());
-  }
-  std::map<std::string, std::string> acked;
-  {
-    PartitionedStore store(enclave_, SmallOptions(), 4);
-    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-    ASSERT_TRUE(wal.Open().ok());
-    ASSERT_TRUE(wal.RestoreFromDisk(SnapshotDir()).ok());
-    for (int i = 0; i < 24; ++i) {
-      const std::string key = "mixed-" + std::to_string(i);
-      acked[key] = i % 2 == 0 ? "sharded" : "legacy";
-      if (i % 2 == 0) {
-        ASSERT_TRUE(wal.Set(key, "sharded").ok());
-      }
-    }
-    ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  }
-  OpLogOptions parallel = LogOptions();
-  parallel.replay_threads = 4;
   EXPECT_EQ(RestartAndDump(4, parallel), acked);
 }
 
