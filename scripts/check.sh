@@ -24,11 +24,6 @@ cmake -B build-tsan -S . -DSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target concurrency_test selfheal_test reactor_test persist_heap_test
 ctest --test-dir build-tsan --output-on-failure -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest'
 
-echo "== WAL scaling bench (smoke) =="
-# Exit code enforces the acceptance gate: sharded >= 3x single-log at 8
-# simulated writers, equal durability discipline.
-./build/bench/bench_wal_scaling --smoke --out build/BENCH_wal.json
-
 echo "== restart bench: persistent-arena attach vs snapshot replay at 1M entries =="
 # Exit code enforces the acceptance gate: mmap-backed arena attach >= 10x
 # faster than sealed-snapshot replay at the largest size (1M entries). The

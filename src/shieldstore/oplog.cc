@@ -234,26 +234,6 @@ Status OperationLog::AppendDelete(std::string_view key) {
   return Status::Ok();
 }
 
-Status OperationLog::LogSet(std::string_view key, std::string_view value) {
-  if (Status s = AppendSet(key, value); !s.ok()) {
-    return s;
-  }
-  if (uncommitted_ >= options_.group_commit_ops) {
-    return Commit();
-  }
-  return Status::Ok();
-}
-
-Status OperationLog::LogDelete(std::string_view key) {
-  if (Status s = AppendDelete(key); !s.ok()) {
-    return s;
-  }
-  if (uncommitted_ >= options_.group_commit_ops) {
-    return Commit();
-  }
-  return Status::Ok();
-}
-
 Status OperationLog::CommitPrepare() {
   if (file_ == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");

@@ -9,7 +9,7 @@
 //    predecessor's), so order, content, and truncation-before-commit are
 //    all authenticated without per-record counter bumps;
 //  * the monotonic counter is bumped once per GROUP COMMIT, amortizing its
-//    cost over `group_commit_ops` operations (the counter-service cost knob
+//    cost over every record in the group (the counter-service cost knob
 //    models either the slow SGX counter or a fast ROTE-style one);
 //  * recovery = snapshot + replay of the committed log suffix; a replayed
 //    stale log (or one from a different epoch) fails the counter check.
@@ -18,14 +18,11 @@
 // (selfheal.h) runs one log per partition group; this class stays
 // single-file and externally synchronized (callers hold their shard lock).
 //
-// Two commit disciplines, selected by the caller:
-//  * LogSet/LogDelete auto-commit every `group_commit_ops` records — the
-//    original cadence, where an ack means "logged", not "fsync'd";
-//  * AppendSet/AppendDelete never commit; the caller batches explicitly via
-//    CommitPrepare() (counter bump + commit record + flush to the OS, under
-//    the caller's lock) followed by CommitSync() (the fsync, safe to run
-//    after dropping the lock so concurrent appends land in the next group).
-//    This is the group-commit batcher's leader/follower split.
+// One commit discipline: AppendSet/AppendDelete never commit; the caller
+// batches explicitly via CommitPrepare() (counter bump + commit record +
+// flush to the OS, under the caller's lock) followed by CommitSync() (the
+// fsync, safe to run after dropping the lock so concurrent appends land in
+// the next group). This is the group-commit batcher's leader/follower split.
 //
 // This module is an EXTENSION beyond the paper's implementation; the
 // evaluation figures never enable it.
@@ -74,8 +71,7 @@ class ReplicationSink {
 };
 
 struct OpLogOptions {
-  std::string path;              // log file (shard i of a sharded WAL appends ".p<i>")
-  size_t group_commit_ops = 64;  // counter bump + fsync cadence
+  std::string path;  // log file (shard i of a sharded WAL appends ".p<i>")
 
   // --- knobs interpreted by the sharded WriteAheadStore (selfheal.h) ---
 
@@ -83,17 +79,12 @@ struct OpLogOptions {
   // to different partitions never contend); 1 reproduces the PR 2 single
   // global log; k < partitions maps partition p to shard p % k.
   size_t num_shards = 0;
-  // Group-commit window in microseconds. 0 = the legacy auto-commit
-  // discipline (ack ⇒ logged; fsync every group_commit_ops records). > 0 =
-  // durable acks: a mutation returns only once its record is fsync'd, and a
-  // commit leader batches every record that arrives within the window (or
-  // until group_commit_ops accumulate, whichever first) into one
-  // counter-bump + fsync.
+  // Group-commit window in microseconds. A mutation returns only once its
+  // record is fsync'd; a commit leader batches every record that arrives
+  // within the window (or until group_commit_ops accumulate, whichever
+  // first) into one counter-bump + fsync. 0 = the leader commits at once.
   uint32_t group_commit_window_us = 0;
-  // SIMULATED MULTICORE (see bench/harness.h): queueing-delay multiplier
-  // charged for the time a shard's lock is held, modelling n workers
-  // saturating one shard. 1 = off (real deployments).
-  size_t virtual_contention = 1;
+  size_t group_commit_ops = 64;  // records that close a group commit early
   // Threads RestoreFromDisk uses to replay shard logs in parallel. 0 = auto
   // (bounded by the hardware); 1 = sequential.
   size_t replay_threads = 0;
@@ -125,12 +116,8 @@ class OperationLog {
   // Opens (creating or appending). Must be called before logging.
   Status Open();
 
-  // Logs one mutation. Auto-commits every group_commit_ops records.
-  Status LogSet(std::string_view key, std::string_view value);
-  Status LogDelete(std::string_view key);
-
-  // Batched-commit discipline: append without any commit side effect. The
-  // caller owns the commit cadence (see the leader/follower split above).
+  // Appends one mutation without any commit side effect. The caller owns
+  // the commit cadence (see the leader/follower split above).
   Status AppendSet(std::string_view key, std::string_view value);
   Status AppendDelete(std::string_view key);
 
@@ -154,8 +141,6 @@ class OperationLog {
   // Bytes appended to the log file (header + frames), tracked so the
   // compactor can bound log growth without stat() calls.
   uint64_t log_bytes() const { return log_bytes_.load(std::memory_order_relaxed); }
-  // Records appended since the last commit.
-  uint64_t pending() const { return uncommitted_; }
 
   // Replays the committed prefix of the log into `store`, newest state
   // winning. Fails with kIntegrityFailure on any tampering / reordering /

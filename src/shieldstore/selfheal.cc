@@ -5,36 +5,12 @@
 #include <filesystem>
 #include <thread>
 
-#include "src/common/cycles.h"
 #include "src/common/logging.h"
 #include "src/obs/audit.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
 
 namespace shield::shieldstore {
-namespace {
-
-// Charges the queueing delay of (n-1) simulated contenders for the time a
-// shard's lock was held (see OpLogOptions::virtual_contention and
-// bench/harness.h "SIMULATED MULTICORE"). Must be constructed AFTER
-// acquiring the lock: only lock-held service time queues n-fold.
-class ContentionScope {
- public:
-  explicit ContentionScope(size_t contenders)
-      : contenders_(contenders), start_(contenders > 1 ? ReadCycleCounter() : 0) {}
-  ~ContentionScope() {
-    if (contenders_ > 1) {
-      SpinCycles((ReadCycleCounter() - start_) * (contenders_ - 1));
-    }
-  }
-
- private:
-  size_t contenders_;
-  uint64_t start_;
-};
-
-}  // namespace
-
 WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                                  sgx::MonotonicCounterService& counters,
                                  const OpLogOptions& options)
@@ -109,21 +85,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   }
   obs::ScopedStage stage(metrics_, obs::Stage::kWalAppend);
   obs::TraceScope span("wal.append");
-  if (options_.group_commit_window_us == 0) {
-    // Legacy cadence: ack ⇒ logged; the log fsyncs itself every
-    // group_commit_ops records.
-    Status st = is_delete ? s.log->LogDelete(key) : s.log->LogSet(key, value);
-    if (st.ok()) {
-      s.ctr_appends->Inc();
-      if (sink_.load(std::memory_order_acquire) != nullptr) {
-        // No group-commit leader exists to drain the buffer later, so ship
-        // each record under the lock, right behind its append.
-        s.pending_ship.push_back({is_delete, std::string(key), std::string(value)});
-        ShipLocked(s);
-      }
-    }
-    return st;
-  }
   if (s.appended == s.durable && !s.committing) {
     s.batch_start = std::chrono::steady_clock::now();
   }
@@ -146,9 +107,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
 
 Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& lock,
                                      uint64_t my_seq) {
-  if (options_.group_commit_window_us == 0) {
-    return Status::Ok();
-  }
   obs::ScopedStage stage(metrics_, obs::Stage::kCommitWait);
   obs::TraceScope span("wal.commit_wait");
   if (s.durable < my_seq) {
@@ -236,20 +194,20 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
       // Adapt the window to the observed batch: a full batch means writers
       // queued behind the cadence (grow toward the cap, ×2), a near-empty
       // one means the window outlived the arrivals (shrink, ÷2, floored at
-      // cap/16 so a burst can climb back within a few commits).
-      if (const uint32_t cap = options_.group_commit_window_us; cap > 0) {
-        const uint32_t floor_us = std::max<uint32_t>(cap / 16, 1);
-        const uint32_t w = s.window_us.load(std::memory_order_relaxed);
-        uint32_t next_w = w;
-        if (batch >= options_.group_commit_ops) {
-          next_w = std::min<uint32_t>(cap, w * 2);
-        } else if (batch <= 2) {
-          next_w = std::max<uint32_t>(floor_us, w / 2);
-        }
-        if (next_w != w) {
-          s.window_us.store(next_w, std::memory_order_relaxed);
-          window_gauge_->Set(static_cast<int64_t>(next_w));
-        }
+      // cap/16 so a burst can climb back within a few commits). Both moves
+      // clamp to the cap, so a 0 µs window stays 0.
+      const uint32_t cap = options_.group_commit_window_us;
+      const uint32_t floor_us = std::max<uint32_t>(cap / 16, 1);
+      const uint32_t w = s.window_us.load(std::memory_order_relaxed);
+      uint32_t next_w = w;
+      if (batch >= options_.group_commit_ops) {
+        next_w = std::min<uint32_t>(cap, w * 2);
+      } else if (batch <= 2) {
+        next_w = std::min<uint32_t>(cap, std::max<uint32_t>(floor_us, w / 2));
+      }
+      if (next_w != w) {
+        s.window_us.store(next_w, std::memory_order_relaxed);
+        window_gauge_->Set(static_cast<int64_t>(next_w));
       }
       s.durable = std::max(s.durable, upto);
       if (s.appended > s.durable) {
@@ -275,14 +233,11 @@ Status WriteAheadStore::Set(std::string_view key, std::string_view value) {
     return s.failed;
   }
   uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Set(key, value); !st.ok()) {
-      return st;
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/false, key, value, &my_seq); !st.ok()) {
-      return st;
-    }
+  if (Status st = inner_.Set(key, value); !st.ok()) {
+    return st;
+  }
+  if (Status st = AppendLocked(s, /*is_delete=*/false, key, value, &my_seq); !st.ok()) {
+    return st;
   }
   return AwaitDurable(s, lock, my_seq);
 }
@@ -298,14 +253,11 @@ Status WriteAheadStore::Delete(std::string_view key) {
     return s.failed;
   }
   uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Delete(key); !st.ok()) {
-      return st;  // kNotFound changed no state, so nothing to log either
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/true, key, "", &my_seq); !st.ok()) {
-      return st;
-    }
+  if (Status st = inner_.Delete(key); !st.ok()) {
+    return st;  // kNotFound changed no state, so nothing to log either
+  }
+  if (Status st = AppendLocked(s, /*is_delete=*/true, key, "", &my_seq); !st.ok()) {
+    return st;
   }
   return AwaitDurable(s, lock, my_seq);
 }
@@ -317,20 +269,17 @@ Status WriteAheadStore::Append(std::string_view key, std::string_view suffix) {
     return s.failed;
   }
   uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Append(key, suffix); !st.ok()) {
-      return st;
-    }
-    // Log the resulting state, not the computation: replay must be
-    // deterministic against a partition restored from any snapshot.
-    Result<std::string> now = inner_.Get(key);
-    if (!now.ok()) {
-      return now.status();
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/false, key, *now, &my_seq); !st.ok()) {
-      return st;
-    }
+  if (Status st = inner_.Append(key, suffix); !st.ok()) {
+    return st;
+  }
+  // Log the resulting state, not the computation: replay must be
+  // deterministic against a partition restored from any snapshot.
+  Result<std::string> now = inner_.Get(key);
+  if (!now.ok()) {
+    return now.status();
+  }
+  if (Status st = AppendLocked(s, /*is_delete=*/false, key, *now, &my_seq); !st.ok()) {
+    return st;
   }
   return AwaitDurable(s, lock, my_seq);
 }
@@ -342,18 +291,14 @@ Result<int64_t> WriteAheadStore::Increment(std::string_view key, int64_t delta) 
     return s.failed;
   }
   uint64_t my_seq = 0;
-  Result<int64_t> value = Status(Code::kInternal, "unreachable");
-  {
-    ContentionScope contention(options_.virtual_contention);
-    value = inner_.Increment(key, delta);
-    if (!value.ok()) {
-      return value;
-    }
-    if (Status st =
-            AppendLocked(s, /*is_delete=*/false, key, std::to_string(value.value()), &my_seq);
-        !st.ok()) {
-      return st;
-    }
+  Result<int64_t> value = inner_.Increment(key, delta);
+  if (!value.ok()) {
+    return value;
+  }
+  if (Status st =
+          AppendLocked(s, /*is_delete=*/false, key, std::to_string(value.value()), &my_seq);
+      !st.ok()) {
+    return st;
   }
   if (Status st = AwaitDurable(s, lock, my_seq); !st.ok()) {
     return st;
@@ -410,44 +355,39 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
       }
       continue;
     }
-    uint64_t last_seq = 0;
-    bool awaiting = false;
-    {
-      ContentionScope contention(options_.virtual_contention);
-      sub_results = inner_.ExecuteBatch(sub_ops);
-      // Append a record for every mutation that applied, in apply order,
-      // under the SAME lock hold — acked ⇒ logged, batch-wide.
-      Status append_failed;
-      for (size_t j = 0; j < groups[sh].size(); ++j) {
-        const size_t i = groups[sh][j];
-        results[i] = std::move(sub_results[j]);
-        const kv::BatchOp& op = ops[i];
-        if (op.type == kv::BatchOpType::kGet || !results[i].status.ok()) {
-          continue;  // nothing applied (or a read): nothing to log
-        }
-        if (!append_failed.ok()) {
-          // An earlier record failed to append; this op DID apply but its
-          // durability is unknowable, so it must not be acked.
-          results[i].status = append_failed;
-          continue;
-        }
-        // Log resulting state, not the computation (replay determinism).
-        const bool is_delete = op.type == kv::BatchOpType::kDelete;
-        const std::string_view logged =
-            op.type == kv::BatchOpType::kSet ? std::string_view(op.value)
-            : is_delete                      ? std::string_view()
-                                             : std::string_view(results[i].value);
-        uint64_t seq = 0;
-        if (Status st = AppendLocked(s, is_delete, op.key, logged, &seq); !st.ok()) {
-          append_failed = st;
-          results[i].status = st;
-          continue;
-        }
-        last_seq = seq;
-        awaiting = true;
+    uint64_t last_seq = 0;  // 0 = nothing appended, nothing to await
+    sub_results = inner_.ExecuteBatch(sub_ops);
+    // Append a record for every mutation that applied, in apply order,
+    // under the SAME lock hold — acked ⇒ logged, batch-wide.
+    Status append_failed;
+    for (size_t j = 0; j < groups[sh].size(); ++j) {
+      const size_t i = groups[sh][j];
+      results[i] = std::move(sub_results[j]);
+      const kv::BatchOp& op = ops[i];
+      if (op.type == kv::BatchOpType::kGet || !results[i].status.ok()) {
+        continue;  // nothing applied (or a read): nothing to log
       }
+      if (!append_failed.ok()) {
+        // An earlier record failed to append; this op DID apply but its
+        // durability is unknowable, so it must not be acked.
+        results[i].status = append_failed;
+        continue;
+      }
+      // Log resulting state, not the computation (replay determinism).
+      const bool is_delete = op.type == kv::BatchOpType::kDelete;
+      const std::string_view logged =
+          op.type == kv::BatchOpType::kSet ? std::string_view(op.value)
+          : is_delete                      ? std::string_view()
+                                           : std::string_view(results[i].value);
+      uint64_t seq = 0;
+      if (Status st = AppendLocked(s, is_delete, op.key, logged, &seq); !st.ok()) {
+        append_failed = st;
+        results[i].status = st;
+        continue;
+      }
+      last_seq = seq;
     }
-    if (awaiting && options_.group_commit_window_us != 0) {
+    if (last_seq != 0) {
       // One durability wait for the whole group: the last record's sequence
       // covers every earlier one (durable advances monotonically).
       if (Status st = AwaitDurable(s, lock, last_seq); !st.ok()) {
@@ -784,7 +724,7 @@ void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
   snap.SetGauge("wal.replication_attached",
                 sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
   {
-    // Widest current adaptive window across shards (0 in legacy mode).
+    // Widest current adaptive window across shards.
     uint32_t widest = 0;
     for (const auto& shard_ptr : shards_) {
       widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));

@@ -11,17 +11,16 @@
 //    partition group, OpLogOptions::num_shards), each with its own mutex,
 //    record chain, monotonic counter, and fsync cadence. A mutation locks
 //    only its key's shard, applies to the inner store, and appends to that
-//    shard's log BEFORE the caller sees success — acked ⇒ logged per shard,
-//    and writers to different partitions never contend. Reads bypass the
-//    facade entirely.
-//  * Group-commit batcher (OpLogOptions::group_commit_window_us > 0):
-//    mutations become durable acks. The first writer to find its shard's
-//    batch open becomes the commit leader; it waits for the window to close
-//    (or group_commit_ops records to accumulate, whichever first), writes
-//    the commit record under the shard lock, then fsyncs with the lock
-//    RELEASED so concurrent writers keep appending into the next batch.
-//    Followers just wait for a leader to make their record durable. One
-//    fsync + one counter bump thus amortize over every writer in the window.
+//    shard's log, and writers to different partitions never contend. Reads
+//    bypass the facade entirely.
+//  * Group-commit batcher: every ack is durable. The first writer to find
+//    its shard's batch open becomes the commit leader; it waits for the
+//    window to close (OpLogOptions::group_commit_window_us, 0 = at once, or
+//    group_commit_ops records to accumulate, whichever first), writes the
+//    commit record under the shard lock, then fsyncs with the lock RELEASED
+//    so concurrent writers keep appending into the next batch. Followers
+//    just wait for a leader to make their record durable. One fsync + one
+//    counter bump thus amortize over every writer in the window.
 //  * Bounded-log compaction: when a shard's log outgrows a threshold, the
 //    maintenance thread (SelfHealer::Tick) folds the shard's partitions into
 //    fresh baseline snapshots — crash-safe via the existing SHA-256-footer +
@@ -68,8 +67,8 @@ struct WalStats {
 };
 
 // Write-ahead facade: apply to the partitioned store, then log to the key's
-// shard, then return — an operation is acknowledged only once it is in that
-// shard's log (and, with a group-commit window, fsync'd). Per-shard locks
+// shard, then return — an operation is acknowledged only once its record
+// in that shard's log is covered by an fsync'd group commit. Per-shard locks
 // serialize (apply + append) so each log's record order is its partitions'
 // apply order, which is what makes per-partition replay deterministic.
 // Get routes straight to the inner store. The shard vector, like the inner
@@ -167,7 +166,7 @@ class WriteAheadStore : public kv::KeyValueStore {
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
   uint64_t ShardLogBytes(size_t shard) const;
-  // Current adaptive group-commit window for `shard` (0 in legacy mode).
+  // Current adaptive group-commit window for `shard`.
   uint32_t shard_window_us(size_t shard) const;
   const OpLogOptions& shard_log_options(size_t shard) const;
   WalStats Stats() const;
@@ -204,7 +203,7 @@ class WriteAheadStore : public kv::KeyValueStore {
     std::atomic<uint32_t> window_us{0};
     std::mutex mutex;  // serializes apply + append for this shard's partitions
     std::condition_variable cv;  // group-commit leader/follower handoff
-    uint64_t appended = 0;       // records appended (durable-window mode)
+    uint64_t appended = 0;       // records appended
     uint64_t durable = 0;        // records known fsync'd
     bool committing = false;     // a leader is inside CommitPrepare/Sync
     // Replication: records captured at append time, drained to the sink at
@@ -224,19 +223,18 @@ class WriteAheadStore : public kv::KeyValueStore {
   };
 
   Shard& shard(size_t s) { return *shards_[s]; }
-  // Appends one record under `lock` (legacy mode commits inline per the
-  // group cadence); durable-window mode assigns the record a sequence.
+  // Appends one record under `lock` and assigns it a sequence.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
                       std::string_view value, uint64_t* my_seq);
-  // Durable-window mode: blocks until `my_seq` is fsync'd, becoming the
-  // commit leader if the batch has none. No-op in legacy mode.
+  // Blocks until `my_seq` is fsync'd, becoming the commit leader if the
+  // batch has none.
   Status AwaitDurable(Shard& s, std::unique_lock<std::mutex>& lock, uint64_t my_seq);
   Status CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
-  // Drains s.pending_ship to the sink under the shard lock (legacy-cadence
-  // and maintenance-commit paths; the group-commit leader instead steals the
-  // buffer under the lock and ships outside it). Clears the buffer without
-  // shipping when no sink is installed. Never fails the caller: a sink
-  // rejection only bumps ship_failures_.
+  // Drains s.pending_ship to the sink under the shard lock (maintenance-
+  // commit path; the group-commit leader instead steals the buffer under the
+  // lock and ships outside it). Clears the buffer without shipping when no
+  // sink is installed. Never fails the caller: a sink rejection only bumps
+  // ship_failures_.
   void ShipLocked(Shard& s);
   std::vector<OpLogOptions> ShardLogsOnDisk() const;
 

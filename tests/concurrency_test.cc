@@ -419,10 +419,9 @@ TEST_F(ConcurrencyTest, BatchedWritersRaceScrubHealerAndAdversary) {
   }
 }
 
-// A group_commit_window_us of 0 acks at append time; a nonzero window makes
-// every ack wait for a group-commit leader, so a compaction that lands
-// between a leader's commit and its followers waking must still let those
-// followers return.
+// Every ack waits for a group-commit leader, at a 0 window as at a nonzero
+// one, so a compaction that lands between a leader's commit and its
+// followers waking must still let those followers return.
 void ConcurrencyTest::RunCompactionRace(uint32_t group_commit_window_us) {
   // The compactor (maintenance thread) folds shard logs into snapshots
   // while writers append to those same shards, and an adversary forces

@@ -163,7 +163,6 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
 
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;  // commit only when asked
   OperationLog log(sealer, counters, log_opts);
   ASSERT_TRUE(log.Open().ok());
 
@@ -172,7 +171,7 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     const std::string key = "key-" + std::to_string(i);
     const std::string value = "v1-" + std::to_string(i);
     ASSERT_TRUE(ps.Set(key, value).ok());
-    ASSERT_TRUE(log.LogSet(key, value).ok());
+    ASSERT_TRUE(log.AppendSet(key, value).ok());
     expected[key] = value;
   }
   ASSERT_TRUE(log.Commit().ok());
@@ -185,11 +184,11 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     const std::string key = "key-" + std::to_string(i);
     const std::string value = "v2-" + std::to_string(i);
     ASSERT_TRUE(ps.Set(key, value).ok());
-    ASSERT_TRUE(log.LogSet(key, value).ok());
+    ASSERT_TRUE(log.AppendSet(key, value).ok());
     expected[key] = value;
   }
   ASSERT_TRUE(ps.Set("post-snapshot", "fresh").ok());
-  ASSERT_TRUE(log.LogSet("post-snapshot", "fresh").ok());
+  ASSERT_TRUE(log.AppendSet("post-snapshot", "fresh").ok());
   expected["post-snapshot"] = "fresh";
   ASSERT_TRUE(log.Commit().ok());
 
@@ -387,12 +386,11 @@ TEST_F(FaultInjectTest, OplogTruncatedCommitDetectedAsRollback) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;
   {
     OperationLog log(sealer, counters, log_opts);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(log.LogSet("k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE(log.AppendSet("k" + std::to_string(i), "v").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
   }
@@ -410,12 +408,11 @@ TEST_F(FaultInjectTest, OplogMidFlipDetectedAsIntegrityFailure) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;
   {
     OperationLog log(sealer, counters, log_opts);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(log.LogSet("key-" + std::to_string(i), "some-value").ok());
+      ASSERT_TRUE(log.AppendSet("key-" + std::to_string(i), "some-value").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
   }

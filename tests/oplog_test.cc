@@ -5,7 +5,9 @@
 
 #include <filesystem>
 
+#include "src/obs/metrics.h"
 #include "src/shieldstore/oplog.h"
+#include "src/shieldstore/selfheal.h"
 
 namespace shield::shieldstore {
 namespace {
@@ -19,7 +21,6 @@ class OpLogTest : public ::testing::Test {
     counter_opts_.backing_file = dir_ + "/counters.bin";
     counter_opts_.increment_cost_cycles = 0;
     log_opts_.path = dir_ + "/wal.log";
-    log_opts_.group_commit_ops = 4;
   }
   ~OpLogTest() override { std::filesystem::remove_all(dir_); }
 
@@ -54,11 +55,11 @@ TEST_F(OpLogTest, LogAndReplay) {
     OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(log.LogSet("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      ASSERT_TRUE(log.AppendSet("k" + std::to_string(i), "v" + std::to_string(i)).ok());
     }
-    ASSERT_TRUE(log.LogDelete("k3").ok());
+    ASSERT_TRUE(log.AppendDelete("k3").ok());
     ASSERT_TRUE(log.Commit().ok());
-    EXPECT_GE(log.commits(), 3u);  // two auto group commits + explicit
+    EXPECT_EQ(log.commits(), 1u);  // appends never commit; one explicit commit
   }
   Store store(enclave_, StoreOptions());
   ASSERT_TRUE(OperationLog::Replay(sealer_, counters, log_opts_, store).ok());
@@ -70,16 +71,14 @@ TEST_F(OpLogTest, LogAndReplay) {
 TEST_F(OpLogTest, UncommittedTailIsDiscarded) {
   sgx::MonotonicCounterService counters(counter_opts_);
   {
-    OpLogOptions opts = log_opts_;
-    opts.group_commit_ops = 1000;  // no auto commit
-    OperationLog log(sealer_, counters, opts);
+    OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());
-    ASSERT_TRUE(log.LogSet("committed", "yes").ok());
+    ASSERT_TRUE(log.AppendSet("committed", "yes").ok());
     ASSERT_TRUE(log.Commit().ok());
-    ASSERT_TRUE(log.LogSet("uncommitted", "lost").ok());
+    ASSERT_TRUE(log.AppendSet("uncommitted", "lost").ok());
     // "Crash": drop the log object without Commit... but the destructor
     // commits; simulate the crash by copying the file first.
-    std::filesystem::copy(opts.path, dir_ + "/crashed.log");
+    std::filesystem::copy(log_opts_.path, dir_ + "/crashed.log");
   }
   OpLogOptions crashed = log_opts_;
   crashed.path = dir_ + "/crashed.log";
@@ -100,7 +99,7 @@ TEST_F(OpLogTest, TamperedRecordDetected) {
     OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(log.LogSet("k" + std::to_string(i), "value").ok());
+      ASSERT_TRUE(log.AppendSet("k" + std::to_string(i), "value").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
   }
@@ -121,12 +120,10 @@ TEST_F(OpLogTest, TamperedRecordDetected) {
 TEST_F(OpLogTest, ReorderedRecordsDetected) {
   sgx::MonotonicCounterService counters(counter_opts_);
   {
-    OpLogOptions opts = log_opts_;
-    opts.group_commit_ops = 1000;
-    OperationLog log(sealer_, counters, opts);
+    OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());
-    ASSERT_TRUE(log.LogSet("a", std::string(100, 'a')).ok());
-    ASSERT_TRUE(log.LogSet("b", std::string(100, 'b')).ok());
+    ASSERT_TRUE(log.AppendSet("a", std::string(100, 'a')).ok());
+    ASSERT_TRUE(log.AppendSet("b", std::string(100, 'b')).ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   // Swap the two (equal-length) mutation frames wholesale.
@@ -153,11 +150,11 @@ TEST_F(OpLogTest, StaleLogReplayDetected) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OperationLog log(sealer_, counters, log_opts_);
   ASSERT_TRUE(log.Open().ok());
-  ASSERT_TRUE(log.LogSet("balance", "100").ok());
+  ASSERT_TRUE(log.AppendSet("balance", "100").ok());
   ASSERT_TRUE(log.Commit().ok());
   // Attacker stashes the log, then lets it advance.
   std::filesystem::copy(log_opts_.path, dir_ + "/stale.log");
-  ASSERT_TRUE(log.LogSet("balance", "0").ok());
+  ASSERT_TRUE(log.AppendSet("balance", "0").ok());
   ASSERT_TRUE(log.Commit().ok());
   OpLogOptions stale = log_opts_;
   stale.path = dir_ + "/stale.log";
@@ -170,11 +167,11 @@ TEST_F(OpLogTest, ResetStartsFreshEpoch) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OperationLog log(sealer_, counters, log_opts_);
   ASSERT_TRUE(log.Open().ok());
-  ASSERT_TRUE(log.LogSet("old", "state").ok());
+  ASSERT_TRUE(log.AppendSet("old", "state").ok());
   ASSERT_TRUE(log.Commit().ok());
   std::filesystem::copy(log_opts_.path, dir_ + "/pre-reset.log");
   ASSERT_TRUE(log.Reset().ok());  // e.g. after a snapshot subsumed the log
-  ASSERT_TRUE(log.LogSet("new", "state").ok());
+  ASSERT_TRUE(log.AppendSet("new", "state").ok());
   ASSERT_TRUE(log.Commit().ok());
   {
     Store store(enclave_, StoreOptions());
@@ -191,15 +188,34 @@ TEST_F(OpLogTest, ResetStartsFreshEpoch) {
 }
 
 TEST_F(OpLogTest, GroupCommitAmortizesCounterBumps) {
+  // One ExecuteBatch of N sets on one shard appends all N records under one
+  // lock hold and waits for durability once: a single group commit (one
+  // counter bump + fsync) covers the whole batch.
+  constexpr size_t kOps = 320;
+  obs::Registry registry;
   sgx::MonotonicCounterService counters(counter_opts_);
+  PartitionedStore store(enclave_, StoreOptions(), 1);
   OpLogOptions opts = log_opts_;
-  opts.group_commit_ops = 32;
-  OperationLog log(sealer_, counters, opts);
-  ASSERT_TRUE(log.Open().ok());
-  for (int i = 0; i < 320; ++i) {
-    ASSERT_TRUE(log.LogSet("k" + std::to_string(i), "v").ok());
+  opts.group_commit_ops = 32;  // the batch overshoots the early-close count
+  opts.metrics = &registry;
+  WriteAheadStore wal(store, sealer_, counters, opts);
+  ASSERT_TRUE(wal.Open().ok());
+  std::vector<kv::BatchOp> ops(kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    ops[i].type = kv::BatchOpType::kSet;
+    ops[i].key = "k" + std::to_string(i);
+    ops[i].value = "v";
   }
-  EXPECT_EQ(log.commits(), 10u);  // 320 ops, one bump per 32
+  for (const kv::BatchOpResult& r : wal.ExecuteBatch(ops)) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  }
+  const WalStats stats = wal.Stats();
+  EXPECT_EQ(stats.records_logged, kOps);
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.fsyncs, 1u);
+  const obs::HistogramData batches = registry.GetHistogram("wal.commit_batch_ops").Data();
+  EXPECT_EQ(batches.count, 1u);
+  EXPECT_EQ(batches.sum, kOps);
 }
 
 TEST_F(OpLogTest, ReopenContinuesChain) {
@@ -207,13 +223,13 @@ TEST_F(OpLogTest, ReopenContinuesChain) {
   {
     OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());
-    ASSERT_TRUE(log.LogSet("first", "1").ok());
+    ASSERT_TRUE(log.AppendSet("first", "1").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   {
     OperationLog log(sealer_, counters, log_opts_);
     ASSERT_TRUE(log.Open().ok());  // scans + resumes the chain
-    ASSERT_TRUE(log.LogSet("second", "2").ok());
+    ASSERT_TRUE(log.AppendSet("second", "2").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
   Store store(enclave_, StoreOptions());

@@ -131,6 +131,29 @@ bool StartServer(const std::string& heal_dir, uint16_t port, ServerProc* proc,
   return false;
 }
 
+// A value flag given last (no value follows) must be refused like any other
+// bad command line — usage text and exit code 2 — not dereference a missing
+// argv entry.
+TEST(WalCrashTest, TrailingValueFlagExitsWithUsage) {
+  for (const char* flag : {"--heal-dir", "--port", "--wal-window-us"}) {
+    SCOPED_TRACE(flag);
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      const int devnull = ::open("/dev/null", O_WRONLY);
+      ::dup2(devnull, STDOUT_FILENO);
+      ::dup2(devnull, STDERR_FILENO);
+      ::execl(SHIELD_SERVER_BIN, SHIELD_SERVER_BIN, "--partitions", "2", flag,
+              static_cast<char*>(nullptr));
+      _exit(127);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status)) << "server died on signal " << WTERMSIG(status);
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+}
+
 TEST(WalCrashTest, Kill9MidLoadLosesNoAckedWriteAndLogsStayBounded) {
   const std::string dir =
       ::testing::TempDir() + "/wal_crash_" + std::to_string(::getpid());

@@ -1,6 +1,6 @@
 // Sharded write-ahead log: shard routing, durable group-commit acks,
-// bounded-log compaction (including its injected-crash matrix), repartition
-// under the WAL, stats, and migration from the PR 2 single-log layout.
+// bounded-log compaction (including its injected-crash matrix), stats, and
+// route- and geometry-agnostic restore.
 //
 // Restart simulation: build a SECOND stack over the same directory (same
 // counter backing file, fresh enclave-drawn route key) and RestoreFromDisk —
@@ -153,27 +153,32 @@ TEST_F(WalShardingTest, ShardCountClampsToPartitionsAndGroupsByModulo) {
 }
 
 TEST_F(WalShardingTest, DurableWindowAcksSurviveRestart) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  OpLogOptions log_opts = LogOptions();
-  log_opts.group_commit_window_us = 50;
-  log_opts.group_commit_ops = 4;
-  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
-  ASSERT_TRUE(wal.Open().ok());
+  // An ack means fsync'd at every window, 0 included: the state on disk
+  // right after the last ack must replay in full, no explicit commit
+  // required.
+  for (const uint32_t window_us : {0u, 50u}) {
+    SCOPED_TRACE("group_commit_window_us=" + std::to_string(window_us));
+    PartitionedStore store(enclave_, SmallOptions(), 4);
+    OpLogOptions log_opts = LogOptions();
+    log_opts.path = dir_ + "/wal-w" + std::to_string(window_us) + ".log";
+    log_opts.group_commit_window_us = window_us;
+    log_opts.group_commit_ops = 4;
+    WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+    ASSERT_TRUE(wal.Open().ok());
 
-  // In durable-window mode an ack means fsync'd: the state on disk right
-  // after the last ack must replay in full, no explicit commit required.
-  std::map<std::string, std::string> acked;
-  for (int i = 0; i < 40; ++i) {
-    const std::string key = "durable-" + std::to_string(i);
-    const std::string value = "v" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, value).ok());
-    acked[key] = value;
+    std::map<std::string, std::string> acked;
+    for (int i = 0; i < 40; ++i) {
+      const std::string key = "durable-" + std::to_string(i);
+      const std::string value = "v" + std::to_string(i);
+      ASSERT_TRUE(wal.Set(key, value).ok());
+      acked[key] = value;
+    }
+    ASSERT_TRUE(wal.Delete("durable-0").ok());
+    acked.erase("durable-0");
+
+    const std::map<std::string, std::string> dump = RestartAndDump(4, log_opts);
+    EXPECT_EQ(dump, acked);
   }
-  ASSERT_TRUE(wal.Delete("durable-0").ok());
-  acked.erase("durable-0");
-
-  const std::map<std::string, std::string> dump = RestartAndDump(4, log_opts);
-  EXPECT_EQ(dump, acked);
 }
 
 TEST_F(WalShardingTest, CompactionBoundsLogGrowthWithZeroAckedLoss) {
@@ -309,7 +314,7 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   PartitionedStore store(enclave_, SmallOptions(), 4);
   OpLogOptions log_opts = LogOptions();
-  log_opts.group_commit_ops = 8;  // make the auto-commit cadence observable
+  log_opts.group_commit_ops = 8;
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
@@ -325,7 +330,7 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   }
   WalStats after = wal.Stats();
   EXPECT_EQ(after.records_logged - before.records_logged, 100u);
-  EXPECT_GT(after.commits, before.commits);  // auto-commit cadence fired
+  EXPECT_GT(after.commits, before.commits);  // every ack waited for a group commit
   EXPECT_GT(after.log_bytes, before.log_bytes);
 
   ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
@@ -403,7 +408,7 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   PartitionedStore store(enclave_, SmallOptions(), 2);
   OpLogOptions log_opts = LogOptions();
   log_opts.metrics = &registry;
-  log_opts.group_commit_ops = 4;  // every shard auto-commits within 64 sets
+  log_opts.group_commit_ops = 4;
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_EQ(wal.num_shards(), 2u);
@@ -422,7 +427,8 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   }
   EXPECT_EQ(per_shard_total, 64u);
 
-  // Auto-commits fsynced each shard; the latency histogram saw every one.
+  // Every ack waited for a group commit on its shard, so each shard
+  // fsynced; the latency histogram saw every one.
   EXPECT_GE(registry.GetHistogram("wal.fsync_ns").Data().count, wal.num_shards());
 }
 
