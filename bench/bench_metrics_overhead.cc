@@ -1,7 +1,7 @@
 // Metrics overhead gate: networked throughput with the obs layer as
 // compiled into THIS binary. check.sh builds the tree twice — once with
 // -DSHIELD_METRICS=ON (always-on recording, the default) and once with OFF
-// (every Inc/Record/ScopedStage a no-op) — runs both flavours of this bench
+// (every Inc/Record/Scope a no-op) — runs both flavours of this bench
 // on the same workload, and gates the ratio: recording must cost < 3%
 // throughput. The final stdout line is machine-parseable:
 //

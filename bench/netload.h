@@ -327,7 +327,7 @@ class ManySessionLoad {
       const uint64_t now = NowNs();
       // One sampled root per burst: overhead measurement at --trace-sample N
       // exercises the real per-root-op sampling path end to end.
-      obs::TraceRoot root("netload.burst");
+      const obs::Scope root = obs::TraceRoot("netload.burst");
       const obs::TraceContext trace_ctx = obs::CurrentTrace();
       for (size_t d = 0; d < options.pipeline_depth; ++d) {
         net::Request request;

@@ -91,7 +91,7 @@ $CLI stats --prometheus > "$STATS_DIR/prom.txt"
 for metric in shield_net_ops_get shield_net_latency_get_count shield_stage_search_decrypt_count \
               shield_sgx_epc_touches shield_wal_records shield_wal_group_commits \
               shield_store_partitions shield_crypto_backend shield_store_crypto_ctr_bytes \
-              shield_store_crypto_cmac_bytes; do
+              shield_store_crypto_cmac_bytes shield_heal_ticks shield_store_quarantined; do
   grep -q "^$metric" "$STATS_DIR/prom.txt" || { echo "missing $metric"; exit 1; }
 done
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
@@ -205,7 +205,9 @@ assert spans, "no spans in the trace dump"
 ids = {s["args"]["trace_id"] for s in spans}
 assert len(ids) == 1, f"expected one trace id, got {ids}"
 names = {s["name"] for s in spans}
-for want in ("cli.op", "client.batch", "server.batch", "wal.append"):
+# net.session_seal is a stage scope's span: stage timing and tracing are
+# one API, so a sampled op's stages show up in its trace.
+for want in ("cli.op", "client.batch", "server.batch", "wal.append", "net.session_seal"):
     assert want in names, f"missing span {want!r} (have {sorted(names)})"
 # Client (pid 0) and server (pid >= 1) both contributed.
 pids = {s["pid"] for s in spans}

@@ -183,7 +183,7 @@ Result<Response> Client::ReceiveResponse() {
 }
 
 Result<Response> Client::Execute(const Request& request) {
-  obs::TraceScope span(VerbSpanName(request.op));
+  obs::Scope span(VerbSpanName(request.op));
   if (Status s = SendRequest(request); !s.ok()) {
     return s;
   }
@@ -200,7 +200,7 @@ Result<std::vector<Response>> Client::ExecuteBatch(const std::vector<Request>& o
   if (ops.size() > kMaxBatchOps) {
     return Status(Code::kProtocolError, "batch has too many sub-ops");
   }
-  obs::TraceScope span("client.batch");
+  obs::Scope span("client.batch");
   Bytes wire = EncodeBatchRequest(ops);
   if (session_tracing_) {
     const obs::TraceContext ctx = obs::CurrentTrace();

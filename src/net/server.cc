@@ -34,6 +34,11 @@ Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
                const sgx::AttestationAuthority& authority, const ServerOptions& options)
     : enclave_(enclave), store_(store), authority_(authority), options_(options) {
   metrics_ = options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
+  requests_ = &metrics_->GetCounter("net.requests");
+  batches_ = &metrics_->GetCounter("net.batches");
+  batch_ops_ = &metrics_->GetCounter("net.batch_ops");
+  crossings_saved_ = &metrics_->GetCounter("net.crossings_saved");
+  maintenance_ticks_ = &metrics_->GetCounter("net.maintenance_ticks");
   for (size_t op = 1; op < kVerbSlots; ++op) {
     const std::string verb = kVerbNames[op];
     op_counters_[op] = &metrics_->GetCounter("net.ops." + verb);
@@ -127,7 +132,7 @@ Status Server::Start() {
       bool submitted;
       {
         // Boundary round-trip: post in shared memory -> responder done flag.
-        obs::ScopedStage stage(metrics_, obs::Stage::kEnclaveSubmit);
+        obs::Scope stage(metrics_, obs::Stage::kEnclaveSubmit);
         submitted = hotcalls_->Call(0, &task);
       }
       if (!submitted) {
@@ -138,7 +143,7 @@ Status Server::Start() {
       }
     } else {
       // Classic path: one ECALL (two crossings) per run of frames.
-      obs::ScopedStage stage(metrics_, obs::Stage::kEnclaveSubmit);
+      obs::Scope stage(metrics_, obs::Stage::kEnclaveSubmit);
       enclave_.boundary().Ecall([&] {
         ProcessSessionRun(*s.crypto(), records, responses, close_after);
         return 0;
@@ -170,7 +175,7 @@ void Server::MaintenanceLoop() {
     // spans from every I/O and responder thread, and overflow drops are
     // bounded by one maintenance interval.
     obs::TraceDrain();
-    maintenance_ticks_.fetch_add(1, std::memory_order_relaxed);
+    maintenance_ticks_->Inc();
     lock.lock();
     maintenance_cv_.wait_for(lock, interval, [this] {
       return stopping_.load(std::memory_order_acquire);
@@ -352,14 +357,12 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
     coalesced_batches_->Inc();
     coalesced_ops_->Inc(ops.size());
     coalesce_depth_->Record(ops.size());
-    coalesced_batches_n_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_ops_n_.fetch_add(ops.size(), std::memory_order_relaxed);
   } else {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_ops_.fetch_add(ops.size(), std::memory_order_relaxed);
+    batches_->Inc();
+    batch_ops_->Inc(ops.size());
     // Each sub-op beyond the first would otherwise have been its own frame,
     // session Seal/Open, and enclave submission.
-    crossings_saved_.fetch_add(ops.size() - 1, std::memory_order_relaxed);
+    crossings_saved_->Inc(ops.size() - 1);
   }
   return responses;
 }
@@ -384,7 +387,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
   bool auth_failed = false;
   for (const Bytes& record : records) {
     Result<Bytes> plaintext = [&] {
-      obs::ScopedStage stage(metrics_, obs::Stage::kSessionOpen);
+      obs::Scope stage(metrics_, obs::Stage::kSessionOpen);
       return session.Open(record);
     }();
     if (!plaintext.ok()) {
@@ -418,7 +421,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       // batches and pipelined clients show up here without a packet capture.
       batch_frame_bytes_->Record(payload.size());
       Result<std::vector<Request>> batch = [&] {
-        obs::ScopedStage stage(metrics_, obs::Stage::kDecode);
+        obs::Scope stage(metrics_, obs::Stage::kDecode);
         return DecodeBatchRequest(payload);
       }();
       if (batch.ok()) {
@@ -430,7 +433,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       }
     } else {
       Result<Request> request = [&] {
-        obs::ScopedStage stage(metrics_, obs::Stage::kDecode);
+        obs::Scope stage(metrics_, obs::Stage::kDecode);
         return DecodeRequest(payload);
       }();
       if (request.ok()) {
@@ -447,7 +450,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
   }
 
   auto seal = [&](const Bytes& payload) {
-    obs::ScopedStage stage(metrics_, obs::Stage::kSessionSeal);
+    obs::Scope stage(metrics_, obs::Stage::kSessionSeal);
     responses.push_back(session.Seal(payload));
   };
   auto record_latency = [&](uint8_t verb, uint64_t t_start) {
@@ -475,7 +478,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         const size_t n = j - i;
         if (n == 1) {
           const uint8_t verb = static_cast<uint8_t>(u.request.op);
-          obs::TraceScope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
+          obs::Scope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
           seal(EncodeResponse(Dispatch(u.request)));
           record_latency(verb, t_start);
         } else {
@@ -489,7 +492,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
               break;
             }
           }
-          obs::TraceScope span("server.coalesced", run_trace);
+          obs::Scope span("server.coalesced", run_trace);
           std::vector<Request> ops;
           ops.reserve(n);
           for (size_t k = i; k < j; ++k) {
@@ -506,7 +509,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       }
       case Unit::kSingle: {
         const uint8_t verb = static_cast<uint8_t>(u.request.op);
-        obs::TraceScope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
+        obs::Scope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
         seal(EncodeResponse(Dispatch(u.request)));
         record_latency(verb, t_start);
         ++i;
@@ -514,7 +517,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       }
       case Unit::kBatch: {
         const uint8_t verb = static_cast<uint8_t>(OpCode::kBatch);
-        obs::TraceScope span(kServerSpanNames[verb], u.trace);
+        obs::Scope span(kServerSpanNames[verb], u.trace);
         op_counters_[verb]->Inc();
         seal(EncodeBatchResponse(DispatchBatch(u.batch)));
         record_latency(verb, t_start);
@@ -530,7 +533,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       }
     }
   }
-  requests_.fetch_add(units.size(), std::memory_order_relaxed);
+  requests_->Inc(units.size());
 
   if (auth_failed) {
     auth_failures_->Inc();
@@ -571,12 +574,6 @@ void Server::EnclaveWorkerLoop() {
 
 obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   obs::MetricsSnapshot snap = metrics_->Snapshot();
-  // Frame-level totals kept in plain server atomics (pre-registry API).
-  snap.SetCounter("net.requests", requests_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.batches", batches_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.batch_ops", batch_ops_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.crossings_saved", crossings_saved_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.maintenance_ticks", maintenance_ticks_.load(std::memory_order_relaxed));
   // Store-level stats through the kv interface (atomic per-field folds).
   const kv::StoreStats ss = store_.stats();
   snap.SetCounter("store.gets", ss.gets);
@@ -611,9 +608,6 @@ obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   snap.SetCounter("sgx.ocalls", enclave_.boundary().ocall_count());
   if (hotcalls_ != nullptr) {
     snap.SetCounter("sgx.hotcalls", hotcalls_->calls_served());
-  }
-  if (options_.stats_augment) {
-    options_.stats_augment(snap);
   }
   return snap;
 }

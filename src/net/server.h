@@ -61,9 +61,11 @@ struct ServerOptions {
   int hotcall_idle_sleep_us = 50;
 
   // Metrics registry for per-verb counters, end-to-end latency histograms,
-  // the in-flight gauge, and the enclave-boundary stage tracer. nullptr
-  // uses the process-wide obs::Registry::Global(); tests inject a fresh
-  // registry for exact-count assertions.
+  // the in-flight gauge, and the enclave-boundary stage histograms; kStats
+  // folds the whole registry, so a store stack built on the same registry
+  // (Options::metrics, OpLogOptions::metrics) shows up with no wiring.
+  // nullptr uses the process-wide obs::Registry::Global(); tests inject a
+  // fresh registry for exact-count assertions.
   obs::Registry* metrics = nullptr;
 
   // Replication hook: when set, kReplicate frames (singleton-only, already
@@ -71,12 +73,6 @@ struct ServerOptions {
   // kUnsupported. A warm standby points this at ReplicaNode::HandleReplicate;
   // the net layer stays ignorant of replication semantics.
   std::function<Response(const Request&)> replicate_handler;
-
-  // Optional extension hook for BuildStatsSnapshot: the deployment adds
-  // component stats the net layer cannot see (WAL shards, self-healer,
-  // per-partition quarantine) before the snapshot is encoded for kStats or
-  // rendered for the daemon's --stats line.
-  std::function<void(obs::MetricsSnapshot&)> stats_augment;
 
   // Background maintenance, run on a dedicated thread for the server's
   // lifetime: called every maintenance_interval_ms while serving. The
@@ -103,33 +99,29 @@ class Server {
   void Stop();
 
   uint16_t port() const { return port_; }
-  uint64_t requests_served() const { return requests_.load(std::memory_order_relaxed); }
-  uint64_t maintenance_ticks() const {
-    return maintenance_ticks_.load(std::memory_order_relaxed);
-  }
+  // Frame and batching totals are read from the registry (net.*), so with
+  // several servers on one registry they read the sum.
+  uint64_t requests_served() const { return requests_->Value(); }
   size_t live_sessions() const { return reactor_ != nullptr ? reactor_->live_sessions() : 0; }
 
   // Batching observability: frames carrying kBatch, the sub-ops they held,
   // and the enclave submissions they saved (sub-ops minus one per batch —
   // each would otherwise have been its own Seal/Open + crossing).
-  uint64_t batches_served() const { return batches_.load(std::memory_order_relaxed); }
-  uint64_t batch_ops_served() const { return batch_ops_.load(std::memory_order_relaxed); }
-  uint64_t crossings_saved() const {
-    return crossings_saved_.load(std::memory_order_relaxed);
-  }
+  uint64_t batches_served() const { return batches_->Value(); }
+  uint64_t batch_ops_served() const { return batch_ops_->Value(); }
+  uint64_t crossings_saved() const { return crossings_saved_->Value(); }
 
   // Implicit-batch observability: runs of adjacent pipelined singleton
   // frames coalesced into one enclave submission, and the frames they held.
-  uint64_t coalesced_batches() const {
-    return coalesced_batches_n_.load(std::memory_order_relaxed);
-  }
-  uint64_t coalesced_ops() const { return coalesced_ops_n_.load(std::memory_order_relaxed); }
+  uint64_t coalesced_batches() const { return coalesced_batches_->Value(); }
+  uint64_t coalesced_ops() const { return coalesced_ops_->Value(); }
 
   // One tear-free fold of everything observable from this server: the
-  // registry (per-verb counters, latency + stage histograms), the store's
-  // kv::StoreStats, EPC paging and crossing counters from the enclave, and
-  // whatever the deployment's stats_augment hook adds. This is the payload
-  // of the kStats protocol verb and the daemon's --stats line.
+  // registry (per-verb counters, latency + stage histograms, and whatever
+  // the store's components register there — WAL, self-healer, partition
+  // health — when they share it), the store's kv::StoreStats, and EPC
+  // paging and crossing counters from the enclave. This is the payload of
+  // the kStats protocol verb and the daemon's --stats line.
   obs::MetricsSnapshot BuildStatsSnapshot();
 
  private:
@@ -174,19 +166,16 @@ class Server {
   std::thread maintenance_thread_;
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;  // wakes the thread on Stop()
-  std::atomic<uint64_t> maintenance_ticks_{0};
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batch_ops_{0};
-  std::atomic<uint64_t> crossings_saved_{0};
-  std::atomic<uint64_t> coalesced_batches_n_{0};
-  std::atomic<uint64_t> coalesced_ops_n_{0};
 
   // Metric handles, cached at construction (registry lookups take a mutex).
   // Verb-indexed arrays use the raw opcode (1..10); slot 0 stays null.
   static constexpr size_t kVerbSlots = 11;
   obs::Registry* metrics_ = nullptr;
+  obs::Counter* requests_ = nullptr;                  // net.requests (frames)
+  obs::Counter* batches_ = nullptr;                   // net.batches (kBatch frames)
+  obs::Counter* batch_ops_ = nullptr;                 // net.batch_ops (their sub-ops)
+  obs::Counter* crossings_saved_ = nullptr;           // net.crossings_saved
+  obs::Counter* maintenance_ticks_ = nullptr;         // net.maintenance_ticks
   obs::Counter* op_counters_[kVerbSlots] = {};        // net.ops.<verb>
   obs::Counter* batch_verb_counters_[kVerbSlots] = {};  // net.batch_ops.<verb>
   obs::Histogram* op_latency_[kVerbSlots] = {};       // net.latency.<verb>, e2e ns

@@ -118,29 +118,22 @@ void Histogram::Reset() {
   }
 }
 
-std::string_view StageName(Stage stage) {
-  switch (stage) {
-    case Stage::kSessionOpen:
-      return "session_open";
-    case Stage::kDecode:
-      return "decode";
-    case Stage::kEnclaveSubmit:
-      return "enclave_submit";
-    case Stage::kMacBatch:
-      return "mac_batch";
-    case Stage::kSearchDecrypt:
-      return "search_decrypt";
-    case Stage::kMacVerify:
-      return "mac_verify";
-    case Stage::kWalAppend:
-      return "wal_append";
-    case Stage::kCommitWait:
-      return "commit_wait";
-    case Stage::kSessionSeal:
-      return "session_seal";
-  }
-  return "unknown";
-}
+namespace {
+
+// Indexed by Stage: histogram suffix ("stage.<x>") and span name.
+constexpr const char* kStageNames[kStageCount][2] = {
+    {"session_open", "net.session_open"},     {"decode", "net.decode"},
+    {"enclave_submit", "net.enclave_submit"}, {"mac_batch", "store.mac_batch"},
+    {"search_decrypt", "store.search_decrypt"}, {"mac_verify", "store.mac_verify"},
+    {"wal_append", "wal.append"},             {"commit_wait", "wal.commit_wait"},
+    {"session_seal", "net.session_seal"},
+};
+
+}  // namespace
+
+std::string_view StageName(Stage stage) { return kStageNames[static_cast<size_t>(stage)][0]; }
+
+const char* StageSpanName(Stage stage) { return kStageNames[static_cast<size_t>(stage)][1]; }
 
 Registry::Registry() {
   for (size_t i = 0; i < kStageCount; ++i) {

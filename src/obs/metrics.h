@@ -1,6 +1,6 @@
 // Process-wide observability registry: lock-free sharded counters and
-// gauges, log2-bucketed latency histograms with quantile extraction, and a
-// per-operation stage tracer covering the enclave boundary.
+// gauges, log2-bucketed latency histograms with quantile extraction, and the
+// per-operation stage histograms that obs::Scope (tracer.h) records into.
 //
 // Recording is designed to stay always-on: every hot-path mutation is one
 // relaxed atomic RMW on a per-thread cacheline-padded shard, folded only
@@ -185,7 +185,8 @@ class Histogram {
 };
 
 // Stages of one operation's journey across the trust boundary; each has an
-// always-registered latency histogram named "stage.<name>".
+// always-registered latency histogram named "stage.<name>" and, under a
+// sampled trace, a span named StageSpanName() (see obs::Scope, tracer.h).
 enum class Stage : uint8_t {
   kSessionOpen = 0,  // AEAD open of the request record (in enclave)
   kDecode,           // request/batch decode (in enclave)
@@ -199,6 +200,9 @@ enum class Stage : uint8_t {
 };
 inline constexpr size_t kStageCount = 9;
 std::string_view StageName(Stage stage);
+// Span name of each stage, "<layer>.<stage>" (e.g. "wal.append"); a static
+// literal, as the tracer requires.
+const char* StageSpanName(Stage stage);
 
 // Named-metric registry. Lookup takes a mutex and is meant for start-up;
 // hot paths cache the returned pointers (stable for the registry lifetime).
@@ -245,36 +249,6 @@ inline uint64_t TimerStart() {
   return 0;
 #endif
 }
-
-// RAII stage timer: records cycles-converted-to-ns into the registry's
-// stage histogram on scope exit. A null registry records nothing.
-class ScopedStage {
- public:
-#if SHIELD_OBS_ENABLED
-  ScopedStage(Registry* registry, Stage stage)
-      : registry_(registry), stage_(stage), start_(registry != nullptr ? ReadCycleCounter() : 0) {}
-  ~ScopedStage() {
-    if (registry_ != nullptr) {
-      registry_->StageHistogram(stage_).RecordCycles(ReadCycleCounter() - start_);
-    }
-  }
-#else
-  ScopedStage(Registry* registry, Stage stage) {
-    (void)registry;
-    (void)stage;
-  }
-  ~ScopedStage() = default;
-#endif
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-#if SHIELD_OBS_ENABLED
-  Registry* registry_;
-  Stage stage_;
-  uint64_t start_;
-#endif
-};
 
 }  // namespace shield::obs
 

@@ -86,7 +86,6 @@ std::deque<Span>& CentralBuffer() {
 std::atomic<uint32_t> g_sample_every{256};
 
 struct ThreadTraceState {
-  TraceContext current;
   SpanRing* ring = nullptr;
   uint64_t rng = 0;
   uint32_t sample_tick = 0;
@@ -131,8 +130,6 @@ Counter* DroppedCounter() {
 
 }  // namespace
 
-TraceContext CurrentTrace() { return Tls().current; }
-
 void TraceSetSampleEvery(uint32_t every) {
   g_sample_every.store(every, std::memory_order_relaxed);
 }
@@ -165,44 +162,36 @@ uint64_t NewSpanId() {
   return id;
 }
 
-void TraceScope::Begin(const char* name, const TraceContext& parent) {
-  if (!parent.active()) return;
-  ThreadTraceState& s = Tls();
-  saved_ = s.current;
+void Scope::BeginSpan(const char* name, TraceContext parent) {
+  TraceContext& current = internal::thread_trace;
+  saved_ = current;
   parent_span_ = parent.span_id;
-  s.current.trace_id = parent.trace_id;
-  s.current.span_id = NewSpanId();
-  s.current.sampled = true;
+  context_ = TraceContext{parent.trace_id, NewSpanId(), true};
+  current = context_;
   name_ = name;
-  start_ns_ = UnixNanos();
+  start_unix_ns_ = UnixNanos();
   active_ = true;
 }
 
-TraceScope::TraceScope(const char* name) { Begin(name, Tls().current); }
-
-TraceScope::TraceScope(const char* name, const TraceContext& parent) {
-  Begin(name, parent);
-}
-
-TraceScope::~TraceScope() {
-  if (!active_) return;
+void Scope::EndSpan(uint64_t duration_ns) {
   ThreadTraceState& s = Tls();
   Span span;
-  span.trace_id = s.current.trace_id;
-  span.span_id = s.current.span_id;
+  span.trace_id = context_.trace_id;
+  span.span_id = context_.span_id;
   span.parent_span = parent_span_;
-  span.start_unix_ns = start_ns_;
-  span.duration_ns = UnixNanos() - start_ns_;
+  span.start_unix_ns = start_unix_ns_;
+  span.duration_ns = duration_ns;
   span.tid = s.tid;
   span.name = name_;
   s.ring->Push(span);
   SpansCounter()->Inc();
-  s.current = saved_;
+  internal::thread_trace = saved_;
 }
 
-TraceRoot::TraceRoot(const char* name)
-    : trace_id_(SampleRoot() ? NewTraceId() : 0),
-      scope_(name, TraceContext{trace_id_, 0, trace_id_ != 0}) {}
+Scope TraceRoot(const char* name) {
+  const uint64_t trace_id = SampleRoot() ? NewTraceId() : 0;
+  return Scope(name, TraceContext{trace_id, 0, trace_id != 0});
+}
 
 size_t TraceDrain() {
   std::vector<SpanRing*> rings;
@@ -244,16 +233,12 @@ std::vector<Span> TraceConsume(size_t max) {
 
 #else  // !SHIELD_OBS_ENABLED
 
-TraceContext CurrentTrace() { return {}; }
 void TraceSetSampleEvery(uint32_t) {}
 uint32_t TraceSampleEvery() { return 0; }
 bool SampleRoot() { return false; }
 uint64_t NewTraceId() { return 0; }
 uint64_t NewSpanId() { return 0; }
-TraceScope::TraceScope(const char*) {}
-TraceScope::TraceScope(const char*, const TraceContext&) {}
-TraceScope::~TraceScope() = default;
-TraceRoot::TraceRoot(const char* name) : scope_(name) {}
+Scope TraceRoot(const char* name) { return Scope(name); }
 size_t TraceDrain() { return 0; }
 std::vector<Span> TraceConsume(size_t) { return {}; }
 

@@ -69,9 +69,18 @@ struct SpanRecord {
 
 // --- thread-local context & sampling -----------------------------------
 
+#if SHIELD_OBS_ENABLED
+namespace internal {
 // The innermost trace context bound to this thread (zero / unsampled when
-// no traced operation is in flight).
-TraceContext CurrentTrace();
+// no traced operation is in flight). Header-visible and constant-initialized
+// so an unsampled Scope costs one thread-local load, not a call.
+inline thread_local TraceContext thread_trace;
+}  // namespace internal
+
+inline TraceContext CurrentTrace() { return internal::thread_trace; }
+#else
+inline TraceContext CurrentTrace() { return {}; }
+#endif
 
 // Root-op sampling: true every Nth call per thread, where N is the global
 // sample-every knob (0 disables sampling entirely, 1 samples everything).
@@ -83,49 +92,84 @@ bool SampleRoot();
 uint64_t NewTraceId();
 uint64_t NewSpanId();
 
-// RAII span. The adopting form binds `parent` (a wire context or a sampled
-// root) as the thread's current trace for the scope; the plain form is a
-// child of whatever is already bound. Both are inert — no clock reads, no
-// ring writes — unless the governing context is sampled.
-class TraceScope {
+// The one RAII instrumentation scope, for stage latency and spans alike.
+//  * Scope(registry, stage) records the "stage.<x>" histogram (nothing with
+//    a null registry) and, when the thread's context is sampled, a child
+//    span named StageSpanName(stage). One cycle-counter start/end pair
+//    serves both, so the span's duration is the histogram sample.
+//  * Scope(name) records a span only, a child of the thread's context.
+//  * Scope(name, parent) records a span only and binds `parent` (a wire
+//    context or a sampled root) as the thread's context for the scope.
+// The span half is inert — no clock reads, no ring writes — unless the
+// governing context is sampled.
+class Scope {
  public:
-  explicit TraceScope(const char* name);
-  TraceScope(const char* name, const TraceContext& parent);
-  ~TraceScope();
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+#if SHIELD_OBS_ENABLED
+  Scope(Registry* registry, Stage stage)
+      : histogram_(registry != nullptr ? &registry->StageHistogram(stage) : nullptr) {
+    if (internal::thread_trace.active()) [[unlikely]] {
+      BeginSpan(StageSpanName(stage), internal::thread_trace);
+    }
+    if (histogram_ != nullptr || active_) {
+      start_cycles_ = ReadCycleCounter();
+    }
+  }
+  explicit Scope(const char* name) : Scope(name, internal::thread_trace) {}
+  Scope(const char* name, const TraceContext& parent) {
+    if (parent.active()) {
+      BeginSpan(name, parent);
+      start_cycles_ = ReadCycleCounter();
+    }
+  }
+  ~Scope() {
+    if (histogram_ == nullptr && !active_) {
+      return;
+    }
+    const auto ns = static_cast<uint64_t>(CyclesToNanoseconds(ReadCycleCounter() - start_cycles_));
+    if (histogram_ != nullptr) {
+      histogram_->Record(ns);
+    }
+    if (active_) {
+      EndSpan(ns);
+    }
+  }
+  // The trace this scope's span belongs to (0 when it records none).
+  uint64_t trace_id() const { return active_ ? context_.trace_id : 0; }
+#else
+  Scope(Registry*, Stage) {}
+  explicit Scope(const char*) {}
+  Scope(const char*, const TraceContext&) {}
+  uint64_t trace_id() const { return 0; }
+#endif
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
+  // True when this scope records a span.
   bool active() const { return active_; }
 
  private:
 #if SHIELD_OBS_ENABLED
-  void Begin(const char* name, const TraceContext& parent);
-  TraceContext saved_;
-  uint64_t parent_span_ = 0;
-  uint64_t start_ns_ = 0;
+  // `parent` by value: it may alias the thread context BeginSpan rebinds.
+  void BeginSpan(const char* name, TraceContext parent);
+  void EndSpan(uint64_t duration_ns);
+  Histogram* histogram_ = nullptr;
+  uint64_t start_cycles_ = 0;
+  // Span state, set only while active.
   const char* name_ = nullptr;
+  TraceContext context_;  // this span's own context
+  TraceContext saved_;    // the thread's context before this scope
+  uint64_t parent_span_ = 0;
+  uint64_t start_unix_ns_ = 0;
 #endif
   bool active_ = false;
 };
 
-// RAII sampled root: consults SampleRoot() and, when it fires, starts a new
-// trace (fresh trace id, this scope as the root span). Everything nested —
-// TraceScope children, the client's frame extension, downstream nodes —
-// keys off the context this installs.
-class TraceRoot {
- public:
-  explicit TraceRoot(const char* name);
-  ~TraceRoot() = default;
-  TraceRoot(const TraceRoot&) = delete;
-  TraceRoot& operator=(const TraceRoot&) = delete;
-
-  bool sampled() const { return scope_.active(); }
-  uint64_t trace_id() const { return trace_id_; }
-
- private:
-  uint64_t trace_id_ = 0;
-  TraceScope scope_;
-};
+// Sampled root: consults SampleRoot() and, when it fires, returns a scope
+// that starts a new trace (fresh trace id, this scope as the root span).
+// Everything nested — child scopes, the client's frame extension,
+// downstream nodes — keys off the context it binds. Unsampled, the
+// returned scope is inert.
+Scope TraceRoot(const char* name);
 
 // --- collection --------------------------------------------------------
 

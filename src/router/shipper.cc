@@ -234,7 +234,7 @@ Status WalShipper::Attach() {
 
 Status WalShipper::ShipCommitted(size_t shard, uint64_t first_seq,
                                  std::vector<shieldstore::ReplicatedOp> ops) {
-  obs::TraceScope span("repl.ship");
+  obs::Scope span("repl.ship");
   // Chunk to respect the codec's per-frame entry cap (a commit leader can
   // steal more than one batch's worth of records during a long fsync).
   std::vector<PendingFrame> frames;

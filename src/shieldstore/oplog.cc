@@ -128,6 +128,10 @@ OperationLog::OperationLog(const sgx::SealingService& sealer,
     : sealer_(sealer), counters_(counters), options_(options) {
   obs::Registry* reg =
       options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
+  records_ = &reg->GetCounter("wal.records");
+  commits_ = &reg->GetCounter("wal.commits");
+  fsyncs_ = &reg->GetCounter("wal.fsyncs");
+  total_log_bytes_ = &reg->GetGauge("wal.log_bytes");
   fsync_latency_ = &reg->GetHistogram("wal.fsync_ns");
   if (options_.shard_index >= 0) {
     const std::string prefix = "wal.shard" + std::to_string(options_.shard_index) + ".";
@@ -143,6 +147,12 @@ OperationLog::~OperationLog() {
     }
     std::fclose(file_);
   }
+  SetLogBytes(0);  // wal.log_bytes counts live logs only
+}
+
+void OperationLog::SetLogBytes(uint64_t bytes) {
+  total_log_bytes_->Add(static_cast<int64_t>(bytes) - static_cast<int64_t>(log_bytes_));
+  log_bytes_ = bytes;
 }
 
 Status OperationLog::Open() {
@@ -162,7 +172,7 @@ Status OperationLog::Open() {
     }
     std::fseek(file_, 0, SEEK_END);
     const long size = std::ftell(file_);
-    log_bytes_.store(size > 0 ? static_cast<uint64_t>(size) : 0, std::memory_order_relaxed);
+    SetLogBytes(size > 0 ? static_cast<uint64_t>(size) : 0);
     return Status::Ok();
   }
   if (scanned.code() != Code::kNotFound) {
@@ -188,7 +198,7 @@ Status OperationLog::Open() {
   if (std::fflush(file_) != 0 || fsync(fileno(file_)) != 0) {
     return Status(Code::kIoError, "cannot flush log header");
   }
-  log_bytes_.store(8, std::memory_order_relaxed);
+  SetLogBytes(8);
   return Status::Ok();
 }
 
@@ -206,7 +216,7 @@ Status OperationLog::AppendRecord(uint8_t op, std::string_view key, std::string_
   }
   std::memcpy(chain_mac_.data(), sealed.data() + sealed.size() - 16, 16);
   ++sequence_;
-  log_bytes_.fetch_add(4 + sealed.size(), std::memory_order_relaxed);
+  SetLogBytes(log_bytes_ + 4 + sealed.size());
   return Status::Ok();
 }
 
@@ -214,7 +224,7 @@ Status OperationLog::AppendSet(std::string_view key, std::string_view value) {
   if (Status s = AppendRecord(kOpSet, key, value); !s.ok()) {
     return s;
   }
-  records_logged_.fetch_add(1, std::memory_order_relaxed);
+  records_->Inc();
   if (shard_records_ != nullptr) {
     shard_records_->Inc();
   }
@@ -226,7 +236,7 @@ Status OperationLog::AppendDelete(std::string_view key) {
   if (Status s = AppendRecord(kOpDelete, key, ""); !s.ok()) {
     return s;
   }
-  records_logged_.fetch_add(1, std::memory_order_relaxed);
+  records_->Inc();
   if (shard_records_ != nullptr) {
     shard_records_->Inc();
   }
@@ -260,11 +270,10 @@ Status OperationLog::CommitPrepare() {
     return Status(Code::kIoError, "log flush failed");
   }
   uncommitted_ = 0;
-  commits_.fetch_add(1, std::memory_order_relaxed);
+  commits_->Inc();
   if (shard_log_bytes_ != nullptr) {
     // Commit cadence keeps the gauge off the per-append hot path.
-    shard_log_bytes_->Set(
-        static_cast<int64_t>(log_bytes_.load(std::memory_order_relaxed)));
+    shard_log_bytes_->Set(static_cast<int64_t>(log_bytes_));
   }
   return Status::Ok();
 }
@@ -280,7 +289,7 @@ Status OperationLog::CommitSync() {
     return Status(Code::kIoError, "log fsync failed");
   }
   fsync_latency_->RecordCycles(obs::TimerStart() - t_fsync);
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  fsyncs_->Inc();
   // One counter bump per group — the amortization that makes fine-grained
   // logging viable (§7). Only now does the group become the one true
   // committed state.
@@ -323,7 +332,7 @@ Status OperationLog::Reset() {
   if (std::fwrite(header, 1, 8, file_) != 8) {
     return Status(Code::kIoError, "cannot write log header");
   }
-  log_bytes_.store(8, std::memory_order_relaxed);
+  SetLogBytes(8);
   if (shard_log_bytes_ != nullptr) {
     shard_log_bytes_->Set(8);
   }

@@ -29,7 +29,6 @@
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_OPLOG_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_OPLOG_H_
 
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -89,11 +88,12 @@ struct OpLogOptions {
   // (bounded by the hardware); 1 = sequential.
   size_t replay_threads = 0;
 
-  // Observability: registry receiving the WAL-append / commit-wait stage
-  // histograms and the group-commit batch-size distribution (interpreted by
-  // WriteAheadStore), plus the log's own shard-local metrics (interpreted
-  // here: wal.fsync_ns latency, and per-shard record/size series when
-  // shard_index >= 0). nullptr uses obs::Registry::Global().
+  // Observability: registry receiving every WAL metric — the stage
+  // histograms, group-commit, compaction and replication series (registered
+  // by WriteAheadStore), and the log's own record/commit/fsync counts,
+  // live log bytes and wal.fsync_ns latency (registered here, plus the
+  // per-shard record/size series when shard_index >= 0). nullptr uses
+  // obs::Registry::Global().
   obs::Registry* metrics = nullptr;
   // Which WAL shard this log backs; >= 0 registers wal.shard<i>.records and
   // wal.shard<i>.log_bytes under `metrics`. -1 (standalone logs, replay-only
@@ -135,12 +135,9 @@ class OperationLog {
   // Truncates the log (after a successful snapshot subsumes it).
   Status Reset();
 
-  uint64_t records_logged() const { return records_logged_.load(std::memory_order_relaxed); }
-  uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
-  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
-  // Bytes appended to the log file (header + frames), tracked so the
-  // compactor can bound log growth without stat() calls.
-  uint64_t log_bytes() const { return log_bytes_.load(std::memory_order_relaxed); }
+  // Bytes in the log file (header + frames), tracked so the compactor can
+  // bound log growth without stat() calls. Read under the caller's lock.
+  uint64_t log_bytes() const { return log_bytes_; }
 
   // Replays the committed prefix of the log into `store`, newest state
   // winning. Fails with kIntegrityFailure on any tampering / reordering /
@@ -153,6 +150,8 @@ class OperationLog {
 
  private:
   Status AppendRecord(uint8_t op, std::string_view key, std::string_view value);
+  // Moves log_bytes_ and the registry's live-bytes total together.
+  void SetLogBytes(uint64_t bytes);
 
   const sgx::SealingService& sealer_;
   sgx::MonotonicCounterService& counters_;
@@ -163,13 +162,14 @@ class OperationLog {
   uint64_t sequence_ = 0;
   uint64_t uncommitted_ = 0;
   uint64_t pending_commit_value_ = 0;  // value CommitPrepare wrote, pre-bump
-  // Stats are atomics so WalStats reads never take the shard lock.
-  std::atomic<uint64_t> records_logged_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> fsyncs_{0};
-  std::atomic<uint64_t> log_bytes_{0};
+  uint64_t log_bytes_ = 0;
   // Registry handles cached at construction (OpLogOptions::metrics). The
-  // log-bytes gauge updates only at commit/reset cadence, never per append.
+  // totals are shared by every log of the registry; the per-shard gauge
+  // updates only at commit/reset cadence, never per append.
+  obs::Counter* records_ = nullptr;          // wal.records
+  obs::Counter* commits_ = nullptr;          // wal.commits
+  obs::Counter* fsyncs_ = nullptr;           // wal.fsyncs
+  obs::Gauge* total_log_bytes_ = nullptr;    // wal.log_bytes (live logs)
   obs::Histogram* fsync_latency_ = nullptr;  // wal.fsync_ns
   obs::Counter* shard_records_ = nullptr;    // wal.shard<i>.records
   obs::Gauge* shard_log_bytes_ = nullptr;    // wal.shard<i>.log_bytes

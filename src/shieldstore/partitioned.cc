@@ -1,7 +1,6 @@
 #include "src/shieldstore/partitioned.h"
 
 #include "src/obs/audit.h"
-#include "src/obs/snapshot.h"
 
 #include <unistd.h>
 
@@ -95,6 +94,15 @@ PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options
       quarantined_(locks_.size()) {
   enclave_.ReadRand(MutableByteSpan(route_key_.data(), route_key_.size()));
   const size_t count = locks_.size();
+  obs::Registry& metrics =
+      options.metrics != nullptr ? *options.metrics : obs::Registry::Global();
+  metrics.GetGauge("store.partitions").Set(static_cast<int64_t>(count));
+  scrub_cycles_ = &metrics.GetCounter("store.scrub_cycles");
+  quarantined_total_ = &metrics.GetGauge("store.quarantined");
+  for (size_t i = 0; i < count; ++i) {
+    quarantined_gauges_.push_back(
+        &metrics.GetGauge("store.partition." + std::to_string(i) + ".quarantined"));
+  }
   Options per_partition = PartitionOptions(count);
   if (persist_) {
     std::error_code ec;
@@ -118,7 +126,7 @@ PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options
         // never serves until the file is restored.
         arenas_.push_back(nullptr);
         attach_failed_.store(true, std::memory_order_release);
-        quarantined_[i].store(true, std::memory_order_release);
+        SetQuarantined(i, true);
       }
     }
     partitions_.push_back(std::make_unique<Store>(enclave_, per_partition));
@@ -173,7 +181,7 @@ size_t PartitionedStore::PartitionOf(std::string_view key) const {
 
 void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
   if (s.code() == Code::kIntegrityFailure || s.code() == Code::kRollbackDetected) {
-    if (!quarantined_[p].exchange(true, std::memory_order_release)) {
+    if (!SetQuarantined(p, true)) {
       // Transition only: a quarantined partition fast-fails every op, so
       // auditing each outcome would flood the chain with duplicates.
       obs::AuditEvent(obs::AuditType::kQuarantineEnter,
@@ -193,6 +201,18 @@ Status PartitionedStore::QuarantineGuard(size_t p) const {
   return Status::Ok();
 }
 
+bool PartitionedStore::SetQuarantined(size_t p, bool quarantined) {
+  const bool was = quarantined_[p].exchange(quarantined, std::memory_order_release);
+  if (was != quarantined) {
+    // Each transition is won by exactly one caller, so paired +1/-1 keep
+    // the gauges equal to the flags under racing transitions.
+    const int64_t step = quarantined ? 1 : -1;
+    quarantined_gauges_[p]->Add(step);
+    quarantined_total_->Add(step);
+  }
+  return was;
+}
+
 bool PartitionedStore::IsQuarantined(size_t p) const {
   return p < quarantined_.size() && quarantined_[p].load(std::memory_order_acquire);
 }
@@ -203,22 +223,6 @@ size_t PartitionedStore::QuarantinedCount() const {
     count += flag.load(std::memory_order_acquire) ? 1 : 0;
   }
   return count;
-}
-
-void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  snap.SetGauge("store.partitions", static_cast<int64_t>(partitions_.size()));
-  snap.SetCounter("store.scrub_cycles", scrub_cycles_.load(std::memory_order_relaxed));
-  int64_t quarantined = 0;
-  for (size_t p = 0; p < quarantined_.size(); ++p) {
-    const bool q = quarantined_[p].load(std::memory_order_acquire);
-    quarantined += q ? 1 : 0;
-    if (q) {
-      // One gauge per quarantined partition: operators see WHICH partition
-      // is recovering, not just how many. Healthy partitions emit nothing.
-      snap.SetGauge("store.partition." + std::to_string(p) + ".quarantined", 1);
-    }
-  }
-  snap.SetGauge("store.quarantined", quarantined);
 }
 
 Status PartitionedStore::ScrubAll() {
@@ -271,7 +275,7 @@ Status PartitionedStore::ScrubTick(size_t bucket_budget) {
     }
     if (report.cycle_complete) {
       if (p + 1 == partitions_.size()) {
-        scrub_cycles_.fetch_add(1, std::memory_order_relaxed);
+        scrub_cycles_->Inc();
       }
       scrub_partition_.store(p + 1, std::memory_order_relaxed);
     }
@@ -467,7 +471,7 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
     }
   }
   partitions_[p] = std::move(restored.value());
-  if (quarantined_[p].exchange(false, std::memory_order_release)) {
+  if (SetQuarantined(p, false)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " rebuilt from snapshot+log");
   }
@@ -588,7 +592,7 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
     }
     if (Status s = AttachPartitionLocked(p, sealer, counters); !s.ok()) {
       attach_failed_.store(true, std::memory_order_release);
-      if (!quarantined_[p].exchange(true, std::memory_order_release)) {
+      if (!SetQuarantined(p, true)) {
         obs::AuditEvent(obs::AuditType::kQuarantineEnter,
                         "partition " + std::to_string(p) + " attach refused: " + s.message());
       }
@@ -619,7 +623,7 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
   if (!report.status.ok()) {
     return report.status;
   }
-  if (quarantined_[p].exchange(false, std::memory_order_release)) {
+  if (SetQuarantined(p, false)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " persistent scrub clean");
   }

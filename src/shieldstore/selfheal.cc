@@ -7,7 +7,6 @@
 
 #include "src/common/logging.h"
 #include "src/obs/audit.h"
-#include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
 
 namespace shield::shieldstore {
@@ -18,9 +17,14 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   metrics_ = options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
   commit_batch_hist_ = &metrics_->GetHistogram("wal.commit_batch_ops");
   group_commits_ = &metrics_->GetCounter("wal.group_commits");
+  compactions_ = &metrics_->GetCounter("wal.compactions");
   compacted_bytes_ = &metrics_->GetCounter("wal.compacted_bytes");
+  shipped_records_ = &metrics_->GetCounter("wal.shipped_records");
+  ship_failures_ = &metrics_->GetCounter("wal.ship_failures");
   window_gauge_ = &metrics_->GetGauge("wal.window_us");
   window_gauge_->Set(static_cast<int64_t>(options_.group_commit_window_us));
+  replication_attached_ = &metrics_->GetGauge("wal.replication_attached");
+  replication_attached_->Set(0);
   const size_t parts = inner_.num_partitions();
   size_t n = options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts);
   n = std::max<size_t>(n, 1);
@@ -37,10 +41,12 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
   }
+  metrics_->GetGauge("wal.shards").Set(static_cast<int64_t>(n));
 }
 
 void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
   sink_.store(sink, std::memory_order_release);
+  replication_attached_->Set(sink != nullptr ? 1 : 0);
 }
 
 void WriteAheadStore::ShipLocked(Shard& s) {
@@ -58,9 +64,9 @@ void WriteAheadStore::ShipLocked(Shard& s) {
   const size_t n = ops.size();
   s.ship_seq += n;
   if (sink->ShipCommitted(s.index, first, std::move(ops)).ok()) {
-    shipped_records_.fetch_add(n, std::memory_order_relaxed);
+    shipped_records_->Inc(n);
   } else {
-    ship_failures_.fetch_add(1, std::memory_order_relaxed);
+    ship_failures_->Inc();
   }
 }
 
@@ -83,8 +89,7 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   if (s.log == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
-  obs::ScopedStage stage(metrics_, obs::Stage::kWalAppend);
-  obs::TraceScope span("wal.append");
+  obs::Scope stage(metrics_, obs::Stage::kWalAppend);
   if (s.appended == s.durable && !s.committing) {
     s.batch_start = std::chrono::steady_clock::now();
   }
@@ -107,8 +112,7 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
 
 Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& lock,
                                      uint64_t my_seq) {
-  obs::ScopedStage stage(metrics_, obs::Stage::kCommitWait);
-  obs::TraceScope span("wal.commit_wait");
+  obs::Scope stage(metrics_, obs::Stage::kCommitWait);
   if (s.durable < my_seq) {
     s.ctr_commit_waits->Inc();
   }
@@ -133,7 +137,7 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
     s.committing = true;
     // Leader span: window wait, fsync, and the shipped batch all bill to
     // the op that happened to become the group-commit leader.
-    obs::TraceScope leader_span("wal.group_commit");
+    obs::Scope leader_span("wal.group_commit");
     const auto window =
         std::chrono::microseconds(s.window_us.load(std::memory_order_relaxed));
     const auto deadline = s.batch_start + window;
@@ -174,11 +178,11 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
         const size_t n = to_ship.size();
         if (sink != nullptr && sink->ShipCommitted(s.index, ship_first,
                                                    std::move(to_ship)).ok()) {
-          shipped_records_.fetch_add(n, std::memory_order_relaxed);
+          shipped_records_->Inc(n);
         } else {
           // Sink rejected (or vanished): the invariant degrades to acked ⇒
           // logged ∧ recoverable-from-local-WAL; the primary keeps serving.
-          ship_failures_.fetch_add(1, std::memory_order_relaxed);
+          ship_failures_->Inc();
         }
       }
       lock.lock();
@@ -513,7 +517,7 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
   // durable (CommitShardLocked left durable == appended), not lead empty
   // commits until new appends catch up with it.
   s.ctr_compactions->Inc();
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  compactions_->Inc();
   return Status::Ok();
 }
 
@@ -642,11 +646,13 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   return finish(first_error);
 }
 
-uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
-  if (shard_index >= shards_.size() || shards_[shard_index]->log == nullptr) {
+uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) {
+  if (shard_index >= shards_.size()) {
     return 0;
   }
-  return shards_[shard_index]->log->log_bytes();
+  Shard& s = shard(shard_index);
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.log != nullptr ? s.log->log_bytes() : 0;
 }
 
 uint32_t WriteAheadStore::shard_window_us(size_t shard_index) const {
@@ -693,50 +699,15 @@ const OpLogOptions& WriteAheadStore::shard_log_options(size_t shard_index) const
   return shards_[shard_index]->options;
 }
 
-WalStats WriteAheadStore::Stats() const {
-  WalStats total;
-  total.shards = shards_.size();
-  total.compactions = compactions_.load(std::memory_order_relaxed);
-  total.shipped_records = shipped_records_.load(std::memory_order_relaxed);
-  total.ship_failures = ship_failures_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    if (shard_ptr->log == nullptr) {
-      continue;
-    }
-    total.records_logged += shard_ptr->log->records_logged();
-    total.commits += shard_ptr->log->commits();
-    total.fsyncs += shard_ptr->log->fsyncs();
-    total.log_bytes += shard_ptr->log->log_bytes();
-  }
-  return total;
-}
-
-void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  const WalStats ws = Stats();
-  snap.SetCounter("wal.records", ws.records_logged);
-  snap.SetCounter("wal.commits", ws.commits);
-  snap.SetCounter("wal.fsyncs", ws.fsyncs);
-  snap.SetCounter("wal.compactions", ws.compactions);
-  snap.SetGauge("wal.log_bytes", static_cast<int64_t>(ws.log_bytes));
-  snap.SetGauge("wal.shards", static_cast<int64_t>(ws.shards));
-  snap.SetCounter("wal.shipped_records", ws.shipped_records);
-  snap.SetCounter("wal.ship_failures", ws.ship_failures);
-  snap.SetGauge("wal.replication_attached",
-                sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-  {
-    // Widest current adaptive window across shards.
-    uint32_t widest = 0;
-    for (const auto& shard_ptr : shards_) {
-      widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));
-    }
-    snap.SetGauge("wal.window_us", static_cast<int64_t>(widest));
-  }
-}
-
 SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
                        sgx::MonotonicCounterService& counters, SelfHealOptions options)
     : wal_(wal), sealer_(sealer), counters_(counters), options_(std::move(options)),
-      attempts_(wal_.inner().num_partitions(), 0) {}
+      attempts_(wal_.inner().num_partitions(), 0),
+      ticks_(&wal_.metrics()->GetCounter("heal.ticks")),
+      recoveries_(&wal_.metrics()->GetCounter("heal.recoveries")),
+      failed_recoveries_(&wal_.metrics()->GetCounter("heal.failed_recoveries")),
+      violations_detected_(&wal_.metrics()->GetCounter("heal.violations_detected")),
+      compactions_(&wal_.metrics()->GetCounter("heal.compactions")) {}
 
 Status SelfHealer::Restore() {
   return wal_.RestoreFromDisk(options_.directory);
@@ -798,7 +769,7 @@ bool SelfHealer::CompactOne() {
     compact_cursor_.store(s + 1, std::memory_order_relaxed);
     const Status st = wal_.CompactShard(s, options_.directory);
     if (st.ok()) {
-      compactions_.fetch_add(1, std::memory_order_relaxed);
+      compactions_->Inc();
     } else if (st.code() != Code::kPartitionRecovering) {
       // Deferred-behind-recovery is expected; anything else is operator news.
       std::lock_guard<std::mutex> lock(error_mutex_);
@@ -810,7 +781,7 @@ bool SelfHealer::CompactOne() {
 }
 
 void SelfHealer::Tick() {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
+  ticks_->Inc();
   PartitionedStore& store = wal_.inner();
   for (size_t p = 0; p < store.num_partitions(); ++p) {
     if (!store.IsQuarantined(p)) {
@@ -822,14 +793,14 @@ void SelfHealer::Tick() {
     }
     const Status s = RecoverOne(p);
     if (s.ok()) {
-      recoveries_.fetch_add(1, std::memory_order_relaxed);
+      recoveries_->Inc();
       attempts_[p] = 0;
       char detail[64];
       std::snprintf(detail, sizeof(detail), "partition %zu recovered and re-admitted", p);
       obs::AuditEvent(obs::AuditType::kRecovery, detail);
       SHIELD_LOG(Info) << "partition " << p << " recovered and re-admitted";
     } else {
-      failed_recoveries_.fetch_add(1, std::memory_order_relaxed);
+      failed_recoveries_->Inc();
       ++attempts_[p];
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
@@ -842,20 +813,12 @@ void SelfHealer::Tick() {
   if (options_.scrub) {
     const Status s = store.ScrubTick(options_.scrub_budget_buckets);
     if (!s.ok()) {
-      violations_detected_.fetch_add(1, std::memory_order_relaxed);
+      violations_detected_->Inc();
       obs::AuditEvent(obs::AuditType::kScrubFinding, s.message());
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
     }
   }
-}
-
-void SelfHealer::BridgeStats(obs::MetricsSnapshot& snap) const {
-  snap.SetCounter("heal.ticks", ticks());
-  snap.SetCounter("heal.recoveries", recoveries());
-  snap.SetCounter("heal.failed_recoveries", failed_recoveries());
-  snap.SetCounter("heal.violations_detected", violations_detected());
-  snap.SetCounter("heal.compactions", compactions());
 }
 
 }  // namespace shield::shieldstore

@@ -53,19 +53,6 @@
 
 namespace shield::shieldstore {
 
-// Aggregated WAL observability (see ISSUE: the batching win must be visible
-// without a profiler). All counters are monotonic since Open().
-struct WalStats {
-  uint64_t records_logged = 0;
-  uint64_t commits = 0;
-  uint64_t fsyncs = 0;
-  uint64_t compactions = 0;
-  uint64_t log_bytes = 0;  // current total across shards, not monotonic
-  size_t shards = 0;
-  uint64_t shipped_records = 0;  // records handed to the replication sink
-  uint64_t ship_failures = 0;    // ShipCommitted calls the sink rejected
-};
-
 // Write-ahead facade: apply to the partitioned store, then log to the key's
 // shard, then return — an operation is acknowledged only once its record
 // in that shard's log is covered by an fsync'd group commit. Per-shard locks
@@ -165,17 +152,14 @@ class WriteAheadStore : public kv::KeyValueStore {
   PartitionedStore& inner() { return inner_; }
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
-  uint64_t ShardLogBytes(size_t shard) const;
+  // Bytes in `shard`'s log (takes the shard lock).
+  uint64_t ShardLogBytes(size_t shard);
   // Current adaptive group-commit window for `shard`.
   uint32_t shard_window_us(size_t shard) const;
   const OpLogOptions& shard_log_options(size_t shard) const;
-  WalStats Stats() const;
-  uint64_t records_logged() const { return Stats().records_logged; }
-
-  // Folds WalStats plus the group-commit batch-size histogram into a metrics
-  // snapshot (wal.* namespace) — wired into the server's kStats frame via
-  // ServerOptions::stats_augment.
-  void BridgeStats(obs::MetricsSnapshot& snap) const;
+  // The registry holding every wal.* metric (OpLogOptions::metrics, or the
+  // global one); the SelfHealer registers its heal.* counters here too.
+  obs::Registry* metrics() const { return metrics_; }
 
   // Installs (nullptr clears) the replication sink. From then on every
   // mutation record is captured at append time and handed to the sink once
@@ -234,7 +218,7 @@ class WriteAheadStore : public kv::KeyValueStore {
   // commit path; the group-commit leader instead steals the buffer under the
   // lock and ships outside it). Clears the buffer without shipping when no
   // sink is installed. Never fails the caller: a sink rejection only bumps
-  // ship_failures_.
+  // wal.ship_failures.
   void ShipLocked(Shard& s);
   std::vector<OpLogOptions> ShardLogsOnDisk() const;
 
@@ -243,17 +227,18 @@ class WriteAheadStore : public kv::KeyValueStore {
   sgx::MonotonicCounterService& counters_;
   OpLogOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> compactions_{0};
   std::atomic<ReplicationSink*> sink_{nullptr};
-  std::atomic<uint64_t> shipped_records_{0};
-  std::atomic<uint64_t> ship_failures_{0};
 
   // Metric handles cached at construction (see OpLogOptions::metrics).
   obs::Registry* metrics_ = nullptr;
   obs::Histogram* commit_batch_hist_ = nullptr;  // wal.commit_batch_ops (records/commit)
   obs::Counter* group_commits_ = nullptr;        // wal.group_commits
+  obs::Counter* compactions_ = nullptr;          // wal.compactions
   obs::Counter* compacted_bytes_ = nullptr;      // wal.compacted_bytes
+  obs::Counter* shipped_records_ = nullptr;      // wal.shipped_records (sink accepted)
+  obs::Counter* ship_failures_ = nullptr;        // wal.ship_failures (sink rejected)
   obs::Gauge* window_gauge_ = nullptr;           // wal.window_us (last adapted window)
+  obs::Gauge* replication_attached_ = nullptr;   // wal.replication_attached (0/1)
 };
 
 struct SelfHealOptions {
@@ -301,19 +286,13 @@ class SelfHealer {
   // Single-threaded driver assumed.
   void Tick();
 
-  uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-  uint64_t recoveries() const { return recoveries_.load(std::memory_order_relaxed); }
-  uint64_t failed_recoveries() const {
-    return failed_recoveries_.load(std::memory_order_relaxed);
-  }
-  uint64_t violations_detected() const {
-    return violations_detected_.load(std::memory_order_relaxed);
-  }
-  uint64_t compactions() const { return compactions_.load(std::memory_order_relaxed); }
+  // Counters live in the WAL's registry (heal.*), so with several healers
+  // on one registry they read the sum.
+  uint64_t recoveries() const { return recoveries_->Value(); }
+  uint64_t failed_recoveries() const { return failed_recoveries_->Value(); }
+  uint64_t violations_detected() const { return violations_detected_->Value(); }
+  uint64_t compactions() const { return compactions_->Value(); }
   Status last_error() const;
-
-  // Folds healer state into a metrics snapshot (heal.* namespace).
-  void BridgeStats(obs::MetricsSnapshot& snap) const;
 
  private:
   Status RecoverOne(size_t p);
@@ -326,12 +305,12 @@ class SelfHealer {
   SelfHealOptions options_;
 
   std::vector<int> attempts_;  // consecutive failed recoveries per partition
-  std::atomic<uint64_t> ticks_{0};
-  std::atomic<uint64_t> recoveries_{0};
-  std::atomic<uint64_t> failed_recoveries_{0};
-  std::atomic<uint64_t> violations_detected_{0};
-  std::atomic<uint64_t> compactions_{0};
   std::atomic<size_t> compact_cursor_{0};
+  obs::Counter* ticks_;                // heal.ticks
+  obs::Counter* recoveries_;           // heal.recoveries
+  obs::Counter* failed_recoveries_;    // heal.failed_recoveries
+  obs::Counter* violations_detected_;  // heal.violations_detected
+  obs::Counter* compactions_;          // heal.compactions
   mutable std::mutex error_mutex_;
   Status last_error_;
 };

@@ -466,7 +466,7 @@ Status Store::VerifyBucketSet(size_t set) {
   if (!options_.integrity) {
     return Status::Ok();
   }
-  obs::ScopedStage stage(metrics_, obs::Stage::kMacVerify);
+  obs::Scope stage(metrics_, obs::Stage::kMacVerify);
   stats_.mac_verifications.fetch_add(1, std::memory_order_relaxed);
   const crypto::Mac computed = ComputeBucketSetMac(set);
   char detail[64];
@@ -534,8 +534,7 @@ void Store::EndMacBatch() {
   }
   // Stage-traced: closing the scope pays the deferred one-recompute-per-
   // touched-set cost that the batch amortized.
-  obs::ScopedStage stage(metrics_, obs::Stage::kMacBatch);
-  obs::TraceScope span("store.mac_batch");
+  obs::Scope stage(metrics_, obs::Stage::kMacBatch);
   mac_batch_active_ = false;
   for (const uint32_t set : mac_batch_touched_) {
     if (mac_batch_state_[set] == 2) {
@@ -657,7 +656,7 @@ void Store::UpdateMacBucketSlot(size_t bucket_index, size_t position, const uint
 
 Result<Store::SearchResult> Store::FindEntry(size_t bucket, std::string_view key, uint8_t hint,
                                              bool full_walk) {
-  obs::ScopedStage stage(metrics_, obs::Stage::kSearchDecrypt);
+  obs::Scope stage(metrics_, obs::Stage::kSearchDecrypt);
   const size_t max_steps = entry_count_ + 8;  // cycle guard for corrupted chains
   const bool check_copies = options_.mac_bucketing && options_.integrity;
   SearchResult result;

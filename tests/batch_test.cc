@@ -468,13 +468,16 @@ TEST_F(BatchWalTest, BatchedDurableAcksSurviveRestart) {
 
 TEST_F(BatchWalTest, FailedOpsAreNotLoggedAndGetsSkipTheLog) {
   PartitionedStore store(enclave_, SmallOptions(), 2);
+  obs::Registry registry;
+  const obs::Counter& records = registry.GetCounter("wal.records");
   shieldstore::OpLogOptions log_opts = LogOptions();
   log_opts.group_commit_window_us = 50;
+  log_opts.metrics = &registry;
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_TRUE(wal.Set("n", "NaN").ok());
 
-  const uint64_t records_before = wal.Stats().records_logged;
+  const uint64_t records_before = records.Value();
   const std::vector<BatchOp> ops = {
       {BatchOpType::kGet, "n", "", 0},            // read: never logged
       {BatchOpType::kDelete, "missing", "", 0},   // fails: never logged
@@ -487,15 +490,15 @@ TEST_F(BatchWalTest, FailedOpsAreNotLoggedAndGetsSkipTheLog) {
   EXPECT_EQ(results[1].status.code(), Code::kNotFound);
   EXPECT_EQ(results[2].status.code(), Code::kInvalidArgument);
   EXPECT_TRUE(results[3].status.ok());
-  EXPECT_EQ(wal.Stats().records_logged - records_before, 1u);
+  EXPECT_EQ(records.Value() - records_before, 1u);
 
   // A mutation-free batch takes no shard locks and appends nothing.
-  const uint64_t records_mid = wal.Stats().records_logged;
+  const uint64_t records_mid = records.Value();
   const std::vector<BatchOpResult> reads =
       wal.ExecuteBatch({{BatchOpType::kGet, "ok", "", 0}, {BatchOpType::kGet, "n", "", 0}});
   EXPECT_EQ(reads[0].value, "1");
   EXPECT_EQ(reads[1].value, "NaN");
-  EXPECT_EQ(wal.Stats().records_logged, records_mid);
+  EXPECT_EQ(records.Value(), records_mid);
 
   EXPECT_EQ(RestartAndDump(2, log_opts),
             (std::map<std::string, std::string>{{"n", "NaN"}, {"ok", "1"}}));

@@ -23,6 +23,7 @@
 
 #include "src/faultinject/tamper.h"
 #include "src/obs/snapshot.h"
+#include "src/obs/tracer.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -271,10 +272,12 @@ TEST_F(ConcurrencyTest, ShardedDurableWindowWritersRaceCleanly) {
   sgx::MonotonicCounterService counters(counter_opts_);
   PartitionedStore ps(enclave_, SmallOptions(), 4);
 
+  obs::Registry registry;
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
   log_opts.group_commit_window_us = 100;
   log_opts.group_commit_ops = 8;
+  log_opts.metrics = &registry;
   WriteAheadStore wal(ps, sealer, counters, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_EQ(wal.num_shards(), 4u);
@@ -298,11 +301,11 @@ TEST_F(ConcurrencyTest, ShardedDurableWindowWritersRaceCleanly) {
   }
 
   EXPECT_EQ(failures.load(), 0);
-  const shieldstore::WalStats stats = wal.Stats();
-  EXPECT_EQ(stats.records_logged, static_cast<uint64_t>(kThreads * kKeysPerWriter * kRounds));
+  const uint64_t records = registry.GetCounter("wal.records").Value();
+  EXPECT_EQ(records, static_cast<uint64_t>(kThreads * kKeysPerWriter * kRounds));
   // Group commit amortized: strictly fewer fsyncs than records (batches of
   // up to group_commit_ops shared one fsync).
-  EXPECT_LT(stats.fsyncs, stats.records_logged);
+  EXPECT_LT(registry.GetCounter("wal.fsyncs").Value(), records);
   for (int w = 0; w < kThreads; ++w) {
     for (int k = 0; k < kKeysPerWriter; ++k) {
       Result<std::string> got = wal.Get("dw" + std::to_string(w) + "-k" + std::to_string(k));
@@ -569,7 +572,7 @@ TEST_F(ConcurrencyTest, MetricsRecordersRaceSnapshots) {
         ops.Inc();
         level.Add(1);
         lat.Record(static_cast<uint64_t>(t) * 1000 + static_cast<uint64_t>(i));
-        obs::ScopedStage stage(&registry, obs::Stage::kDecode);
+        obs::Scope stage(&registry, obs::Stage::kDecode);
         level.Add(-1);
       }
     });

@@ -740,7 +740,6 @@ class StatsStack {
     store_options.metrics = &registry;
     store = std::make_unique<shieldstore::PartitionedStore>(enclave, store_options, 2);
     options.metrics = &registry;
-    options.stats_augment = [this](obs::MetricsSnapshot& snap) { store->BridgeStats(snap); };
     server = std::make_unique<Server>(enclave, *store, authority, options);
   }
 
@@ -803,7 +802,7 @@ TEST_F(NetEndToEndTest, StatsSnapshotOverTheWire) {
   EXPECT_GT(snap->CounterValue("sgx.epc.touches"), 0u);
   EXPECT_GT(snap->GaugeValue("sgx.epc.resident_pages"), 0);
 
-  // Partition health from the stats_augment hook.
+  // Partition health, registered by the store in the shared registry.
   EXPECT_EQ(snap->GaugeValue("store.partitions"), 2);
   EXPECT_EQ(snap->GaugeValue("store.quarantined"), 0);
 
@@ -1017,8 +1016,8 @@ TEST_F(NetEndToEndTest, TraceDumpEndToEndUnderFullSampling) {
 
   uint64_t trace_id = 0;
   {
-    obs::TraceRoot root("test.op");
-    ASSERT_TRUE(root.sampled());
+    const obs::Scope root = obs::TraceRoot("test.op");
+    ASSERT_TRUE(root.active());
     trace_id = root.trace_id();
     ASSERT_TRUE(client.Set("traced-key", "tv").ok());
     ASSERT_EQ(client.Get("traced-key").value(), "tv");
@@ -1061,8 +1060,8 @@ TEST_F(NetEndToEndTest, TracingOffStaysLegacyCompatible) {
   ASSERT_TRUE(traced.Connect(server_->port()).ok());
   EXPECT_TRUE(traced.tracing());
   {
-    obs::TraceRoot root("never.sampled");
-    EXPECT_FALSE(root.sampled());
+    const obs::Scope root = obs::TraceRoot("never.sampled");
+    EXPECT_FALSE(root.active());
     ASSERT_TRUE(traced.Set("quiet", "q").ok());
     EXPECT_EQ(traced.Get("quiet").value(), "q");
   }

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -213,10 +214,10 @@ TEST(MetricsTest, ScopedStageRecordsIntoPreRegisteredHistograms) {
     EXPECT_TRUE(before.Has(name)) << name;
   }
   {
-    ScopedStage stage(&registry, Stage::kDecode);
+    Scope stage(&registry, Stage::kDecode);
   }
   {
-    ScopedStage null_registry(nullptr, Stage::kDecode);  // must be safe
+    Scope null_registry(nullptr, Stage::kDecode);  // must be safe
   }
 #if SHIELD_OBS_ENABLED
   EXPECT_EQ(registry.StageHistogram(Stage::kDecode).Data().count, 1u);
@@ -390,9 +391,9 @@ TEST(TracerTest, ScopesRecordOnlyWhenSampled) {
   TraceDrain();
   TraceConsume();  // clear anything a neighbor left behind
   {
-    TraceRoot root("unsampled");
-    EXPECT_FALSE(root.sampled());
-    TraceScope child("child");
+    const Scope root = TraceRoot("unsampled");
+    EXPECT_FALSE(root.active());
+    Scope child("child");
     EXPECT_FALSE(child.active());
   }
   TraceDrain();
@@ -401,10 +402,10 @@ TEST(TracerTest, ScopesRecordOnlyWhenSampled) {
   TraceSetSampleEvery(1);
   uint64_t trace_id = 0;
   {
-    TraceRoot root("sampled");
-    EXPECT_TRUE(root.sampled());
+    const Scope root = TraceRoot("sampled");
+    EXPECT_TRUE(root.active());
     trace_id = root.trace_id();
-    TraceScope child("child");
+    Scope child("child");
     EXPECT_TRUE(child.active());
   }
   TraceDrain();
@@ -414,6 +415,58 @@ TEST(TracerTest, ScopesRecordOnlyWhenSampled) {
   EXPECT_EQ(spans[1].trace_id, trace_id);
   EXPECT_EQ(spans[0].parent_span, spans[1].span_id);
   TraceSetSampleEvery(256);
+}
+
+// Runs one stage scope on `registry` under a root sampled 1-in-`every` and
+// returns the spans left behind (the stage's first, then the root's).
+std::vector<Span> StageUnderRoot(Registry* registry, Stage stage, uint32_t every) {
+  TraceDrain();
+  TraceConsume();  // clear anything a neighbor left behind
+  TraceSetSampleEvery(every);
+  {
+    const Scope root = TraceRoot("root");
+    Scope scope(registry, stage);
+    EXPECT_EQ(scope.active(), SHIELD_OBS_ENABLED && every == 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  TraceSetSampleEvery(256);
+  TraceDrain();
+  return TraceConsume();
+}
+
+TEST(TracerTest, SampledStageScopeRecordsOneSampleAndOneMatchingSpan) {
+  Registry registry;
+  const std::vector<Span> spans = StageUnderRoot(&registry, Stage::kWalAppend, 1);
+#if SHIELD_OBS_ENABLED
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_STREQ(spans[0].name, "wal.append");
+  EXPECT_EQ(spans[0].trace_id, spans[1].trace_id);
+  EXPECT_EQ(spans[0].parent_span, spans[1].span_id);
+  EXPECT_GE(spans[0].duration_ns, 50'000u);
+  const HistogramData h = registry.StageHistogram(Stage::kWalAppend).Data();
+  ASSERT_EQ(h.count, 1u);
+  EXPECT_EQ(h.sum, spans[0].duration_ns) << "one cycle pair serves both";
+#endif
+}
+
+TEST(TracerTest, UnsampledStageScopeRecordsTheSampleButNoSpan) {
+  Registry registry;
+  EXPECT_TRUE(StageUnderRoot(&registry, Stage::kSearchDecrypt, 0).empty());
+#if SHIELD_OBS_ENABLED
+  EXPECT_EQ(registry.StageHistogram(Stage::kSearchDecrypt).Data().count, 1u);
+#endif
+}
+
+TEST(TracerTest, StageScopeWithoutRegistryRecordsNoHistogram) {
+  // No fallback to the global registry; the span does not need one.
+  const Histogram& global = Registry::Global().StageHistogram(Stage::kMacVerify);
+  const uint64_t before = global.Data().count;
+  const std::vector<Span> spans = StageUnderRoot(nullptr, Stage::kMacVerify, 1);
+  EXPECT_EQ(global.Data().count, before);
+#if SHIELD_OBS_ENABLED
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_STREQ(spans[0].name, "store.mac_verify");
+#endif
 }
 
 TEST(TracerTest, DumpCodecRoundTrip) {

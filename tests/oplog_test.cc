@@ -51,15 +51,19 @@ class OpLogTest : public ::testing::Test {
 
 TEST_F(OpLogTest, LogAndReplay) {
   sgx::MonotonicCounterService counters(counter_opts_);
+  obs::Registry registry;
+  OpLogOptions opts = log_opts_;
+  opts.metrics = &registry;
   {
-    OperationLog log(sealer_, counters, log_opts_);
+    OperationLog log(sealer_, counters, opts);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 10; ++i) {
       ASSERT_TRUE(log.AppendSet("k" + std::to_string(i), "v" + std::to_string(i)).ok());
     }
     ASSERT_TRUE(log.AppendDelete("k3").ok());
     ASSERT_TRUE(log.Commit().ok());
-    EXPECT_EQ(log.commits(), 1u);  // appends never commit; one explicit commit
+    // Appends never commit; one explicit commit.
+    EXPECT_EQ(registry.GetCounter("wal.commits").Value(), 1u);
   }
   Store store(enclave_, StoreOptions());
   ASSERT_TRUE(OperationLog::Replay(sealer_, counters, log_opts_, store).ok());
@@ -209,10 +213,9 @@ TEST_F(OpLogTest, GroupCommitAmortizesCounterBumps) {
   for (const kv::BatchOpResult& r : wal.ExecuteBatch(ops)) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   }
-  const WalStats stats = wal.Stats();
-  EXPECT_EQ(stats.records_logged, kOps);
-  EXPECT_EQ(stats.commits, 1u);
-  EXPECT_EQ(stats.fsyncs, 1u);
+  EXPECT_EQ(registry.GetCounter("wal.records").Value(), kOps);
+  EXPECT_EQ(registry.GetCounter("wal.commits").Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("wal.fsyncs").Value(), 1u);
   const obs::HistogramData batches = registry.GetHistogram("wal.commit_batch_ops").Data();
   EXPECT_EQ(batches.count, 1u);
   EXPECT_EQ(batches.sum, kOps);

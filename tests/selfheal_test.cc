@@ -48,22 +48,24 @@ sgx::EnclaveConfig FastEnclave() {
   return c;
 }
 
-shieldstore::Options StoreOptions() {
+shieldstore::Options StoreOptions(obs::Registry* metrics) {
   shieldstore::Options o;
   o.num_buckets = 1024;
   o.heap_chunk_bytes = 1u << 20;
   o.scrub_budget_buckets = 128;
+  o.metrics = metrics;
   return o;
 }
 
 // Full production stack: partitioned store + write-ahead log + self-healer
-// driven by the network server's maintenance thread.
+// driven by the network server's maintenance thread, every layer recording
+// into one private registry (as the daemon's layers share the global one).
 class SelfHealNetTest : public ::testing::Test {
  protected:
   SelfHealNetTest()
       : enclave_(FastEnclave()),
         authority_(AsBytes("ias-root")),
-        store_(enclave_, StoreOptions(), 4),
+        store_(enclave_, StoreOptions(&registry_), 4),
         sealer_(AsBytes("fuse"), enclave_.measurement()) {
     dir_ = ::testing::TempDir() + "/selfheal_" + std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
@@ -72,14 +74,6 @@ class SelfHealNetTest : public ::testing::Test {
     counter_opts.backing_file = dir_ + "/counters.bin";
     counter_opts.increment_cost_cycles = 0;
     counters_ = std::make_unique<sgx::MonotonicCounterService>(counter_opts);
-
-    OpLogOptions log_opts;
-    log_opts.path = dir_ + "/wal.log";
-    wal_ = std::make_unique<WriteAheadStore>(store_, sealer_, *counters_, log_opts);
-
-    SelfHealOptions heal_opts;
-    heal_opts.directory = dir_ + "/snapshots";
-    healer_ = std::make_unique<SelfHealer>(*wal_, sealer_, *counters_, heal_opts);
   }
 
   ~SelfHealNetTest() override {
@@ -89,10 +83,19 @@ class SelfHealNetTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  void StartStack() {
+  void StartStack(uint32_t wal_window_us = 0) {
+    OpLogOptions log_opts;
+    log_opts.path = dir_ + "/wal.log";
+    log_opts.group_commit_window_us = wal_window_us;
+    log_opts.metrics = &registry_;
+    wal_ = std::make_unique<WriteAheadStore>(store_, sealer_, *counters_, log_opts);
+    SelfHealOptions heal_opts;
+    heal_opts.directory = SnapshotDir();
+    healer_ = std::make_unique<SelfHealer>(*wal_, sealer_, *counters_, heal_opts);
     ASSERT_TRUE(wal_->Open().ok());
     ASSERT_TRUE(healer_->Start().ok());
     ServerOptions options;
+    options.metrics = &registry_;
     options.maintenance = [this] { healer_->Tick(); };
     options.maintenance_interval_ms = 2;
     server_ = std::make_unique<Server>(enclave_, *wal_, authority_, options);
@@ -109,6 +112,9 @@ class SelfHealNetTest : public ::testing::Test {
     }
   }
 
+  std::string SnapshotDir() const { return dir_ + "/snapshots"; }
+
+  obs::Registry registry_;  // first: every layer below records into it
   sgx::Enclave enclave_;
   sgx::AttestationAuthority authority_;
   PartitionedStore store_;
@@ -317,6 +323,59 @@ TEST_F(SelfHealNetTest, BackgroundScrubDetectsAndHealsSilentTamper) {
     EXPECT_EQ(got.value(), value) << key;
   }
   EXPECT_TRUE(store_.ScrubAll().ok());
+}
+
+// kStats with no deployment hook: the WAL, the healer and the partitioned
+// store register their metrics in the registry the server folds, so a tamper
+// and its heal show up in the frame with exact values.
+TEST_F(SelfHealNetTest, StatsCarryWalHealAndPartitionMetricsWithoutAHook) {
+  constexpr uint32_t kWindowCapUs = 1600;
+  StartStack(kWindowCapUs);
+  Client client(authority_, enclave_.measurement());
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  constexpr uint64_t kSets = 40;
+  for (uint64_t i = 0; i < kSets; ++i) {
+    ASSERT_TRUE(client.Set("stat-" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(client.Delete("stat-0").ok());
+  ASSERT_TRUE(client.MSet({{"stat-m1", "x"}, {"stat-m2", "y"}}).ok());
+  EXPECT_EQ(client.Delete("absent").code(), Code::kNotFound);  // not a mutation
+  constexpr uint64_t kAckedMutations = kSets + 1 + 2;
+
+  // Silent tamper: only the background scrub can find it; the healer
+  // quarantines and rebuilds the partition on the maintenance thread.
+  TamperAgent agent(17);
+  ASSERT_TRUE(agent.TamperPartition(store_, 1, TamperMode::kBitFlipCiphertext).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (healer_->recoveries() == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "scrub never detected the tamper: " << healer_->last_error().ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  WaitHealed(std::chrono::seconds(30));
+  ASSERT_TRUE(wal_->CompactShard(0, SnapshotDir()).ok());
+
+  Result<obs::MetricsSnapshot> snap = client.Stats();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->CounterValue("wal.records"), kAckedMutations);
+  // Every singleton ack waited for its own group commit.
+  EXPECT_GE(snap->CounterValue("wal.commits"), kSets + 1);
+  EXPECT_EQ(snap->CounterValue("wal.compactions"), 1u);
+  EXPECT_EQ(snap->GaugeValue("wal.shards"), 4);
+  EXPECT_GE(snap->CounterValue("heal.recoveries"), 1u);
+  EXPECT_EQ(snap->CounterValue("heal.failed_recoveries"), 0u);
+  EXPECT_EQ(snap->GaugeValue("store.partitions"), 4);
+  EXPECT_EQ(snap->GaugeValue("store.quarantined"), 0);
+  EXPECT_EQ(snap->GaugeValue("store.partition.1.quarantined"), 0);
+  // One definition of each WAL metric: the frame carries the registry's
+  // values (nothing rewrites the adaptive window after the fact).
+  const obs::MetricsSnapshot local = registry_.Snapshot();
+  for (const char* name : {"wal.records", "wal.commits", "wal.fsyncs", "wal.compactions",
+                           "wal.window_us", "wal.log_bytes", "wal.shards"}) {
+    EXPECT_EQ(snap->CounterValue(name), local.CounterValue(name)) << name;
+    EXPECT_EQ(snap->GaugeValue(name), local.GaugeValue(name)) << name;
+  }
+  EXPECT_LE(snap->GaugeValue("wal.window_us"), int64_t{kWindowCapUs});
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/snapshot.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -27,7 +28,6 @@ using shieldstore::OpLogOptions;
 using shieldstore::PartitionedStore;
 using shieldstore::SelfHealer;
 using shieldstore::SelfHealOptions;
-using shieldstore::WalStats;
 using shieldstore::WriteAheadStore;
 
 sgx::EnclaveConfig TestEnclaveConfig(const char* seed) {
@@ -312,9 +312,11 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
 }
 
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
+  obs::Registry registry;
   PartitionedStore store(enclave_, SmallOptions(), 4);
   OpLogOptions log_opts = LogOptions();
   log_opts.group_commit_ops = 8;
+  log_opts.metrics = &registry;
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
@@ -323,25 +325,29 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
 
-  const WalStats before = wal.Stats();
-  EXPECT_EQ(before.shards, 4u);
+  const obs::MetricsSnapshot before = registry.Snapshot();
+  EXPECT_EQ(before.GaugeValue("wal.shards"), 4);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(wal.Set("stats-" + std::to_string(i), "v").ok());
   }
-  WalStats after = wal.Stats();
-  EXPECT_EQ(after.records_logged - before.records_logged, 100u);
-  EXPECT_GT(after.commits, before.commits);  // every ack waited for a group commit
-  EXPECT_GT(after.log_bytes, before.log_bytes);
+  obs::MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(after.CounterValue("wal.records") - before.CounterValue("wal.records"), 100u);
+  // Every ack waited for a group commit.
+  EXPECT_GT(after.CounterValue("wal.commits"), before.CounterValue("wal.commits"));
+  EXPECT_GT(after.GaugeValue("wal.log_bytes"), before.GaugeValue("wal.log_bytes"));
 
   ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  after = wal.Stats();
-  EXPECT_GE(after.fsyncs, wal.num_shards());  // every shard group-committed
+  after = registry.Snapshot();
+  EXPECT_GE(after.CounterValue("wal.fsyncs"), wal.num_shards());  // every shard group-committed
 
   for (size_t s = 0; s < wal.num_shards(); ++s) {
     ASSERT_TRUE(wal.CompactShard(s, SnapshotDir()).ok());
   }
-  EXPECT_EQ(wal.Stats().compactions - before.compactions, wal.num_shards());
-  EXPECT_LT(wal.Stats().log_bytes, after.log_bytes);  // logs truncated
+  const obs::MetricsSnapshot compacted = registry.Snapshot();
+  EXPECT_EQ(compacted.CounterValue("wal.compactions") - before.CounterValue("wal.compactions"),
+            wal.num_shards());
+  // Logs truncated.
+  EXPECT_LT(compacted.GaugeValue("wal.log_bytes"), after.GaugeValue("wal.log_bytes"));
 }
 
 TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {

@@ -298,7 +298,7 @@ int main(int argc, char** argv) {
       }
       // Optional traced sub-command, sampled at 1/1 under one fresh root.
       if (j < argc) {
-        obs::TraceRoot root("cli.op");
+        const obs::Scope root = obs::TraceRoot("cli.op");
         const std::string sub = argv[j];
         Status s = Status::Ok();
         if (sub == "get" && j + 1 < argc) {
@@ -483,7 +483,7 @@ int main(int argc, char** argv) {
     int rc = 0;
     // Optional traced sub-command, sampled at 1/1 under one fresh root.
     if (j < argc) {
-      obs::TraceRoot root("cli.op");
+      const obs::Scope root = obs::TraceRoot("cli.op");
       const std::string sub = argv[j];
       Status s = Status::Ok();
       if (sub == "get" && j + 1 < argc) {

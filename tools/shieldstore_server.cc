@@ -65,7 +65,6 @@ struct Flags {
   size_t wal_group_ops = 64;    // records per group commit
   size_t wal_compact_bytes = 64 << 20;  // compact a shard log past this; 0 = never
   int stats_interval_s = 30;    // metrics report cadence; 0 disables
-  bool stats_prometheus = false;  // full Prometheus-style dump each report
   std::string stats_json;       // periodic obs::RenderJson dump to this file
   size_t io_threads = 4;        // reactor epoll threads
   size_t max_sessions = 16384;  // live-session cap (excess accepts rejected)
@@ -78,10 +77,6 @@ struct Flags {
   uint32_t trace_sample = 256;  // sample 1-in-N root ops; 1 = every op, 0 = tracing off
   std::string audit_log;        // hash-chained security audit log; empty = off
   int slo_interval_s = 5;       // SLO watchdog cadence; 0 disables the watchdog
-  int slo_stage_p99_ms = 50;    // breach: any stage.* p99 over this
-  int slo_op_p99_ms = 200;      // breach: any net.latency.* p99 over this
-  int slo_loop_lag_p99_ms = 200;  // breach: reactor loop-lag p99 over this
-  long long slo_repl_backlog = 65536;  // breach: replication backlog entries over this
 };
 
 void PrintUsage() {
@@ -91,13 +86,11 @@ void PrintUsage() {
                "    [--heal-dir DIR] [--persist-heap DIR] [--persist-capacity-mb N]\n"
                "    [--scrub-interval-ms N] [--scrub-budget N]\n"
                "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
-               "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
-               "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
+               "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-json FILE]\n"
+               "    [--io-threads N] [--max-sessions N]\n"
                "    [--coalesce-depth N] [--hotcall-idle-us N] [--replay-threads N]\n"
                "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
                "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
-               "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
-               "    [--slo-repl-backlog N]\n"
                "durability (with --heal-dir): every mutation is acked only once its WAL\n"
                "record is fsync'd. --wal-window-us N (default 200) is how long a commit\n"
                "leader gathers writers into one fsync; 0 commits without waiting.\n"
@@ -105,8 +98,9 @@ void PrintUsage() {
                "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
                "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
                "hash-chained, fsync'd audit log (verify offline with audit_verify).\n"
-               "--slo-* set the watchdog thresholds; breaches bump slo.breaches and land\n"
-               "in the audit log.\n"
+               "--slo-interval-s N runs the SLO watchdog every N s at its default\n"
+               "thresholds (0 = off); breaches bump slo.breaches and land in the audit log.\n"
+               "`shieldstore_cli stats --prometheus` renders the metrics as exposition text.\n"
                "replication: --replica-of makes this node a warm standby (the primary on\n"
                "PRIMARY_PORT pushes its stream here; the port is recorded for logs).\n"
                "--replicate-to ships every committed WAL entry to the follower listening\n"
@@ -115,6 +109,22 @@ void PrintUsage() {
                "--persist-heap DIR mmaps the untrusted heap onto p<i>.heap files in DIR:\n"
                "restart attaches the files in O(1) and replays only the WAL tail instead\n"
                "of decrypting every snapshot entry (requires --heal-dir for the WAL).\n");
+}
+
+// The WAL's cumulative line (periodic report and shutdown); prints nothing
+// without --heal-dir, where no wal.* metric exists.
+void PrintWalLine(const shield::obs::MetricsSnapshot& snap) {
+  if (!snap.Has("wal.records")) {
+    return;
+  }
+  std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
+              "%llu log bytes over %lld shards\n",
+              static_cast<unsigned long long>(snap.CounterValue("wal.records")),
+              static_cast<unsigned long long>(snap.CounterValue("wal.commits")),
+              static_cast<unsigned long long>(snap.CounterValue("wal.fsyncs")),
+              static_cast<unsigned long long>(snap.CounterValue("wal.compactions")),
+              static_cast<unsigned long long>(snap.GaugeValue("wal.log_bytes")),
+              static_cast<long long>(snap.GaugeValue("wal.shards")));
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -166,8 +176,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->wal_compact_bytes = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--stats-interval-s") {
       flags->stats_interval_s = std::atoi(next());
-    } else if (arg == "--stats-prometheus") {
-      flags->stats_prometheus = true;
     } else if (arg == "--stats-json") {
       flags->stats_json = next();
     } else if (arg == "--io-threads") {
@@ -191,14 +199,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->audit_log = next();
     } else if (arg == "--slo-interval-s") {
       flags->slo_interval_s = std::atoi(next());
-    } else if (arg == "--slo-stage-p99-ms") {
-      flags->slo_stage_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-op-p99-ms") {
-      flags->slo_op_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-loop-lag-p99-ms") {
-      flags->slo_loop_lag_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-repl-backlog") {
-      flags->slo_repl_backlog = std::atoll(next());
     } else {
       PrintUsage();
       return false;
@@ -349,23 +349,10 @@ int main(int argc, char** argv) {
   server_options.io_threads = std::max<size_t>(flags.io_threads, 1);
   server_options.max_sessions = std::max<size_t>(flags.max_sessions, 1);
   server_options.coalesce_depth = std::max<size_t>(flags.coalesce_depth, 1);
-  // Fold component-level stats (partition health, WAL, self-heal) into every
-  // kStats snapshot the server builds. The net layer knows nothing about the
-  // shieldstore stack; this hook is the bridge.
-  server_options.stats_augment = [&store, &wal, &healer](obs::MetricsSnapshot& snap) {
-    store.BridgeStats(snap);
-    if (wal != nullptr) {
-      wal->BridgeStats(snap);
-    }
-    if (healer != nullptr) {
-      healer->BridgeStats(snap);
-    }
-  };
   // Periodic metrics report: rates over the last interval from obs::Delta,
   // plus cumulative WAL/batch context. Works in both heal and volatile mode.
   auto last_snap = std::make_shared<obs::MetricsSnapshot>();
-  auto report_stats = [&server_ref, last_snap, prometheus = flags.stats_prometheus,
-                       json_path = flags.stats_json] {
+  auto report_stats = [&server_ref, last_snap, json_path = flags.stats_json] {
     net::Server* srv = server_ref;
     if (srv == nullptr) {
       return;
@@ -398,82 +385,40 @@ int main(int argc, char** argv) {
                   h->Quantile(0.95) / 1e3, h->Quantile(0.99) / 1e3);
     }
     std::printf("\n");
-    if (now.Has("wal.records")) {
-      std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
-                  "%llu log bytes over %lld shards\n",
-                  static_cast<unsigned long long>(now.CounterValue("wal.records")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.commits")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.fsyncs")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.compactions")),
-                  static_cast<unsigned long long>(now.GaugeValue("wal.log_bytes")),
-                  static_cast<long long>(now.GaugeValue("wal.shards")));
-    }
-    if (prometheus) {
-      std::fputs(obs::RenderPrometheus(now).c_str(), stdout);
-    }
+    PrintWalLine(now);
     std::fflush(stdout);
     *last_snap = std::move(now);
   };
-  // SLO watchdog: evaluated from the maintenance thread over registry deltas.
-  // Breaches bump slo.breaches and land in the audit chain (kSloBreach).
+  // SLO watchdog at its default thresholds, evaluated from the maintenance
+  // thread over registry deltas. Breaches bump slo.breaches and land in the
+  // audit chain (kSloBreach).
   std::shared_ptr<obs::SloWatchdog> watchdog;
   if (flags.slo_interval_s > 0) {
-    obs::SloThresholds thresholds;
-    thresholds.stage_p99_ns = static_cast<uint64_t>(std::max(flags.slo_stage_p99_ms, 1)) * 1000000ull;
-    thresholds.op_p99_ns = static_cast<uint64_t>(std::max(flags.slo_op_p99_ms, 1)) * 1000000ull;
-    thresholds.loop_lag_p99_ns =
-        static_cast<uint64_t>(std::max(flags.slo_loop_lag_p99_ms, 1)) * 1000000ull;
-    thresholds.repl_backlog_entries = std::max<int64_t>(flags.slo_repl_backlog, 1);
-    watchdog = std::make_shared<obs::SloWatchdog>(thresholds);
+    watchdog = std::make_shared<obs::SloWatchdog>(obs::SloThresholds{});
   }
-  auto slo_tick = [&server_ref, watchdog] {
-    if (watchdog != nullptr && server_ref != nullptr) {
-      watchdog->Evaluate(server_ref->BuildStatsSnapshot());
-    }
-  };
+  // One maintenance loop for both modes. With --heal-dir it drives the
+  // self-healer (recovery, compaction, scrub). Volatile mode only audits: a
+  // violation quarantines the partition (typed errors for its keys), and
+  // without a WAL there is nothing to heal from, so it stays quarantined.
+  // The same thread reports stats and runs the SLO watchdog — alone, if the
+  // volatile scrub is disabled.
+  const bool scrub = flags.scrub_interval_ms > 0;
   const bool want_stats = flags.stats_interval_s > 0;
-  const bool want_slo = watchdog != nullptr;
-  if (healer != nullptr) {
-    const int interval_ms = std::max(flags.scrub_interval_ms, 1);
-    const uint64_t stats_every =
-        want_stats
-            ? std::max<uint64_t>(uint64_t{1000} * flags.stats_interval_s / interval_ms, 1)
-            : 0;
-    const uint64_t slo_every =
-        want_slo ? std::max<uint64_t>(uint64_t{1000} * flags.slo_interval_s / interval_ms, 1)
-                 : 0;
-    auto ticks = std::make_shared<uint64_t>(0);
-    server_options.maintenance = [&healer, stats_every, slo_every, ticks, report_stats,
-                                  slo_tick] {
-      healer->Tick();
-      ++*ticks;
-      if (stats_every > 0 && *ticks % stats_every == 0) {
-        report_stats();
-      }
-      if (slo_every > 0 && *ticks % slo_every == 0) {
-        slo_tick();
-      }
+  if (healer != nullptr || scrub || want_stats || watchdog != nullptr) {
+    const int interval_ms = healer != nullptr ? std::max(flags.scrub_interval_ms, 1)
+                            : scrub           ? flags.scrub_interval_ms
+                                              : 1000;
+    const auto every = [interval_ms](int seconds) {
+      return seconds > 0 ? std::max<uint64_t>(uint64_t{1000} * seconds / interval_ms, 1) : 0;
     };
-    server_options.maintenance_interval_ms = interval_ms;
-  } else if (flags.scrub_interval_ms > 0 || want_stats || want_slo) {
-    // Volatile mode: still audit in the background. A violation quarantines
-    // the partition (typed errors for its keys) — without a WAL there is
-    // nothing to heal from, so it stays quarantined. The maintenance thread
-    // doubles as the stats reporter and SLO watchdog (and runs for those
-    // alone if the scrub is disabled).
-    const bool scrub = flags.scrub_interval_ms > 0;
-    const int interval_ms = scrub ? flags.scrub_interval_ms : 1000;
-    const uint64_t stats_every =
-        want_stats
-            ? std::max<uint64_t>(uint64_t{1000} * flags.stats_interval_s / interval_ms, 1)
-            : 0;
-    const uint64_t slo_every =
-        want_slo ? std::max<uint64_t>(uint64_t{1000} * flags.slo_interval_s / interval_ms, 1)
-                 : 0;
+    const uint64_t stats_every = every(flags.stats_interval_s);
+    const uint64_t slo_every = every(flags.slo_interval_s);  // 0 iff no watchdog
     auto ticks = std::make_shared<uint64_t>(0);
-    server_options.maintenance = [&store, scrub, stats_every, slo_every, ticks, report_stats,
-                                  slo_tick] {
-      if (scrub) {
+    server_options.maintenance = [&healer, &store, &server_ref, scrub, stats_every, slo_every,
+                                  ticks, report_stats, watchdog] {
+      if (healer != nullptr) {
+        healer->Tick();
+      } else if (scrub) {
         (void)store.ScrubTick();
       }
       ++*ticks;
@@ -481,7 +426,7 @@ int main(int argc, char** argv) {
         report_stats();
       }
       if (slo_every > 0 && *ticks % slo_every == 0) {
-        slo_tick();
+        watchdog->Evaluate(server_ref->BuildStatsSnapshot());
       }
     };
     server_options.maintenance_interval_ms = interval_ms;
@@ -546,10 +491,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(audit_log.records_written()));
   }
   if (watchdog != nullptr) {
-    std::printf("slo watchdog: every %d s (stage p99 %d ms, op p99 %d ms, loop lag p99 %d ms, "
-                "repl backlog %lld)\n",
-                flags.slo_interval_s, flags.slo_stage_p99_ms, flags.slo_op_p99_ms,
-                flags.slo_loop_lag_p99_ms, flags.slo_repl_backlog);
+    std::printf("slo watchdog: every %d s (default thresholds)\n", flags.slo_interval_s);
   }
   if (healer != nullptr) {
     std::printf("self-healing: on (dir %s, scrub every %d ms)\n", flags.heal_dir.c_str(),
@@ -603,15 +545,7 @@ int main(int argc, char** argv) {
     std::printf("self-healing: %llu recoveries, %llu violations detected\n",
                 static_cast<unsigned long long>(healer->recoveries()),
                 static_cast<unsigned long long>(healer->violations_detected()));
-    const shieldstore::WalStats ws = wal->Stats();
-    std::printf(
-        "wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
-        "%llu log bytes over %zu shards\n",
-        static_cast<unsigned long long>(ws.records_logged),
-        static_cast<unsigned long long>(ws.commits),
-        static_cast<unsigned long long>(ws.fsyncs),
-        static_cast<unsigned long long>(ws.compactions),
-        static_cast<unsigned long long>(ws.log_bytes), ws.shards);
   }
+  PrintWalLine(server.BuildStatsSnapshot());
   return 0;
 }
