@@ -277,7 +277,9 @@ echo "== metrics overhead gate (< 3% vs no-op build) =="
 # compiled to no-ops (-DSHIELD_METRICS=OFF). Recording must keep >= 97% of
 # the no-op throughput.
 cmake -B build-noobs -S . -DSHIELD_METRICS=OFF >/dev/null
-cmake --build build-noobs -j "$JOBS" --target bench_metrics_overhead
+cmake --build build-noobs -j "$JOBS" --target bench_metrics_overhead obs_test
+# The obs unit tests must hold with recording compiled out too.
+./build-noobs/tests/obs_test --gtest_brief=1
 ON_KOPS="$(./build/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
 OFF_KOPS="$(SHIELD_BENCH_JSON_DIR=build-noobs ./build-noobs/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
 echo "metrics on: $ON_KOPS Kop/s, metrics off: $OFF_KOPS Kop/s"

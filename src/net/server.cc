@@ -222,38 +222,8 @@ Response Server::Dispatch(const Request& request) {
     c->Inc();
   }
   switch (request.op) {
-    case OpCode::kGet: {
-      Result<std::string> value = store_.Get(request.key);
-      response.status = value.ok() ? Code::kOk : value.status().code();
-      if (value.ok()) {
-        response.value = std::move(value.value());
-      }
-      break;
-    }
-    case OpCode::kSet:
-      response.status = store_.Set(request.key, request.value).code();
-      break;
-    case OpCode::kDelete:
-      response.status = store_.Delete(request.key).code();
-      break;
-    case OpCode::kAppend:
-      response.status = store_.Append(request.key, request.value).code();
-      break;
-    case OpCode::kIncrement: {
-      Result<int64_t> value = store_.Increment(request.key, request.delta);
-      response.status = value.ok() ? Code::kOk : value.status().code();
-      if (value.ok()) {
-        response.value = std::to_string(value.value());
-      }
-      break;
-    }
-    case OpCode::kPing:
-      response.status = Code::kOk;
-      response.value = "pong";
-      break;
     case OpCode::kStats: {
-      // Snapshot-on-read: folding the registry and bridging component stats
-      // happens only when a client asks, never on the op hot path.
+      // Snapshot-on-read: the registry is folded only when a client asks.
       const Bytes frame = obs::EncodeStatsSnapshot(BuildStatsSnapshot());
       response.status = Code::kOk;
       response.value.assign(reinterpret_cast<const char*>(frame.data()), frame.size());
@@ -278,17 +248,13 @@ Response Server::Dispatch(const Request& request) {
       response.value.assign(reinterpret_cast<const char*>(frame.data()), frame.size());
       break;
     }
-    case OpCode::kBatch:
-      // Batches are decoded and dispatched by DispatchBatch; a kBatch that
-      // reaches here is a sub-op smuggled past decode validation.
+    default:
+      // Data verbs and pings execute through RunOps, and batches are decoded
+      // apart; anything else here slipped past decode validation.
       response.status = Code::kProtocolError;
       break;
   }
   return response;
-}
-
-std::vector<Response> Server::DispatchBatch(const std::vector<Request>& ops) {
-  return RunOps(ops, /*implicit=*/false);
 }
 
 std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool implicit) {
@@ -329,6 +295,7 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
       case OpCode::kBatch:      // decode rejects nested batches
       case OpCode::kStats:      // decode rejects stats inside a batch
       case OpCode::kReplicate:  // decode rejects replicate inside a batch
+      case OpCode::kTraceDump:  // decode rejects tracedump inside a batch
         responses[i].status = r.op == OpCode::kPing ? Code::kOk : Code::kProtocolError;
         if (r.op == OpCode::kPing) {
           responses[i].value = "pong";
@@ -354,9 +321,12 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
     }
   }
   if (implicit) {
-    coalesced_batches_->Inc();
-    coalesced_ops_->Inc(ops.size());
-    coalesce_depth_->Record(ops.size());
+    // A run of one is a plain singleton, not a coalesced batch.
+    if (ops.size() > 1) {
+      coalesced_batches_->Inc();
+      coalesced_ops_->Inc(ops.size());
+      coalesce_depth_->Record(ops.size());
+    }
   } else {
     batches_->Inc();
     batch_ops_->Inc(ops.size());
@@ -476,33 +446,28 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
           ++j;
         }
         const size_t n = j - i;
-        if (n == 1) {
-          const uint8_t verb = static_cast<uint8_t>(u.request.op);
-          obs::Scope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
-          seal(EncodeResponse(Dispatch(u.request)));
-          record_latency(verb, t_start);
-        } else {
-          // A coalesced run carries at most a handful of traced frames; the
-          // run-level span adopts the first sampled context so the client's
-          // frame shows up under the submission that actually executed it.
-          obs::TraceContext run_trace;
-          for (size_t k = i; k < j; ++k) {
-            if (units[k].trace.active()) {
-              run_trace = units[k].trace;
-              break;
-            }
+        // A run of one keeps its verb's span. A coalesced run carries at most
+        // a handful of traced frames; its run-level span adopts the first
+        // sampled context so the client's frame shows up under the
+        // submission that actually executed it.
+        obs::TraceContext run_trace;
+        for (size_t k = i; k < j; ++k) {
+          if (units[k].trace.active()) {
+            run_trace = units[k].trace;
+            break;
           }
-          obs::Scope span("server.coalesced", run_trace);
-          std::vector<Request> ops;
-          ops.reserve(n);
-          for (size_t k = i; k < j; ++k) {
-            ops.push_back(std::move(units[k].request));
-          }
-          const std::vector<Response> rs = RunOps(ops, /*implicit=*/true);
-          for (size_t k = 0; k < n; ++k) {
-            seal(EncodeResponse(rs[k]));
-            record_latency(static_cast<uint8_t>(ops[k].op), t_start);
-          }
+        }
+        const uint8_t verb = static_cast<uint8_t>(u.request.op);
+        obs::Scope span(n == 1 ? kServerSpanNames[verb] : "server.coalesced", run_trace);
+        std::vector<Request> ops;
+        ops.reserve(n);
+        for (size_t k = i; k < j; ++k) {
+          ops.push_back(std::move(units[k].request));
+        }
+        const std::vector<Response> rs = RunOps(ops, /*implicit=*/true);
+        for (size_t k = 0; k < n; ++k) {
+          seal(EncodeResponse(rs[k]));
+          record_latency(static_cast<uint8_t>(ops[k].op), t_start);
         }
         i = j;
         break;
@@ -519,7 +484,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         const uint8_t verb = static_cast<uint8_t>(OpCode::kBatch);
         obs::Scope span(kServerSpanNames[verb], u.trace);
         op_counters_[verb]->Inc();
-        seal(EncodeBatchResponse(DispatchBatch(u.batch)));
+        seal(EncodeBatchResponse(RunOps(u.batch, /*implicit=*/false)));
         record_latency(verb, t_start);
         ++i;
         break;

@@ -143,11 +143,13 @@ class Server {
   // response). Used by both entry mechanisms.
   void ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
                          std::vector<Bytes>& responses, bool* close_session);
+  // The singleton verbs that are not data ops: kStats, kReplicate and
+  // kTraceDump.
   Response Dispatch(const Request& request);
-  std::vector<Response> DispatchBatch(const std::vector<Request>& ops);
-  // Shared batch executor: maps wire requests onto ONE store ExecuteBatch
-  // call. `implicit` selects the metric family (explicit kBatch frames vs
-  // reactor-coalesced pipelined singletons).
+  // The one data-op executor: maps wire requests onto ONE store ExecuteBatch
+  // call. `implicit` selects the metric family: a kBatch frame's sub-ops vs
+  // a run of pipelined singleton frames (counted as coalesced when it holds
+  // more than one).
   std::vector<Response> RunOps(const std::vector<Request>& ops, bool implicit);
 
   sgx::Enclave& enclave_;

@@ -36,18 +36,29 @@ net::Response ReplicaNode::Reply(Code code) const {
   return ReplyLocked(code);
 }
 
-Status ReplicaNode::ApplyEntry(const net::ReplicateEntry& e) {
-  if (e.is_delete) {
-    Status st = store_.Delete(e.key);
-    if (st.code() == Code::kNotFound) {
-      // A retransmitted delete, or a delete racing the bootstrap snapshot
-      // (the key was already gone when the dump read its partition): the
-      // intended end state holds either way.
-      return Status::Ok();
-    }
-    return st;
+Status ReplicaNode::ApplyEntries(const std::vector<net::ReplicateEntry>& entries, size_t from,
+                                 size_t* applied) {
+  std::vector<kv::BatchOp> ops;
+  ops.reserve(entries.size() - from);
+  for (size_t i = from; i < entries.size(); ++i) {
+    const net::ReplicateEntry& e = entries[i];
+    ops.push_back({e.is_delete ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet, e.key,
+                   e.is_delete ? std::string() : e.value, 0});
   }
-  return store_.Set(e.key, e.value);
+  const std::vector<kv::BatchOpResult> results = store_.ExecuteBatch(ops);
+  for (size_t j = 0; j < results.size(); ++j) {
+    const Status& st = results[j].status;
+    // A delete answering kNotFound is a retransmitted delete, or one racing
+    // the bootstrap snapshot (the key was already gone when the dump read
+    // its partition): the intended end state holds either way.
+    if (!st.ok() &&
+        !(ops[j].type == kv::BatchOpType::kDelete && st.code() == Code::kNotFound)) {
+      *applied = j;
+      return st;
+    }
+  }
+  *applied = results.size();
+  return Status::Ok();
 }
 
 net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
@@ -106,12 +117,12 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
                             " vs replica epoch " + std::to_string(epoch_));
         return ReplyLocked(Code::kInvalidArgument);
       }
-      for (const net::ReplicateEntry& e : frame.entries) {
-        if (Status st = ApplyEntry(e); !st.ok()) {
-          rejected_->Inc();
-          return ReplyLocked(st.code());
-        }
-        snapshot_entries_->Inc();
+      size_t applied = 0;
+      const Status st = ApplyEntries(frame.entries, 0, &applied);
+      snapshot_entries_->Inc(applied);
+      if (!st.ok()) {
+        rejected_->Inc();
+        return ReplyLocked(st.code());
       }
       return ReplyLocked(Code::kOk);
     }
@@ -169,21 +180,24 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
         apply_from = std::max(apply_from, w + 1);  // skip retransmitted prefix
       }
       const uint64_t last = frame.first_seq + frame.entries.size() - 1;
-      for (uint64_t seq = apply_from; seq <= last; ++seq) {
-        const net::ReplicateEntry& e = frame.entries[seq - frame.first_seq];
-        if (Status st = ApplyEntry(e); !st.ok()) {
-          // Partial application is safe: w records exactly what applied, so
-          // the shipper's retransmit resumes at the failed record.
-          w = seq - 1;
-          fresh_[frame.shard] = false;
-          rejected_->Inc();
-          return ReplyLocked(st.code());
-        }
-        applied_->Inc();
-        applied_entries_.fetch_add(1, std::memory_order_relaxed);
+      size_t applied = 0;
+      const Status st = apply_from > last
+                            ? Status::Ok()
+                            : ApplyEntries(frame.entries, apply_from - frame.first_seq,
+                                           &applied);
+      applied_->Inc(applied);
+      applied_entries_.fetch_add(applied, std::memory_order_relaxed);
+      fresh_[frame.shard] = false;
+      if (!st.ok()) {
+        // w stops before the failed record, so the shipper's retransmit
+        // resumes there. Later records of this batch may have applied too;
+        // re-applying them is idempotent, because a replicated record
+        // carries resulting state (the final value, or a delete).
+        w = apply_from + applied - 1;
+        rejected_->Inc();
+        return ReplyLocked(st.code());
       }
       w = std::max(w, last);
-      fresh_[frame.shard] = false;
       return ReplyLocked(Code::kOk);
     }
   }

@@ -6,7 +6,9 @@
 // committed WAL entries. Because frames are applied through the follower's
 // OWN WriteAheadStore facade, every replicated mutation is re-logged locally
 // — a promoted follower has its own durable history and can itself be
-// snapshotted, compacted, healed, and (transitively) replicated.
+// snapshotted, compacted, healed, and (transitively) replicated. Each data
+// frame applies as one ExecuteBatch, so it costs one group commit per
+// touched shard, not one per entry.
 //
 // State machine per follower:
 //
@@ -67,7 +69,11 @@ class ReplicaNode {
  private:
   net::Response Reply(Code code) const;  // status frame under lock
   net::Response ReplyLocked(Code code) const;
-  Status ApplyEntry(const net::ReplicateEntry& e);
+  // Applies entries[from..] as ONE store ExecuteBatch (one group commit per
+  // touched WAL shard). Returns the first failure (a delete's kNotFound
+  // counts as applied) and sets *applied to the entries before it.
+  Status ApplyEntries(const std::vector<net::ReplicateEntry>& entries, size_t from,
+                      size_t* applied);
 
   kv::KeyValueStore& store_;
   mutable std::mutex mutex_;

@@ -119,11 +119,13 @@ class Router {
 
   Node* FindNode(const std::string& name);
   const Node* FindNode(const std::string& name) const;
-  // One routed attempt + the retry/failover loop.
+  // Routes `request` to its ring owner through RunOnNode.
   Result<net::Response> Execute(const net::Request& request);
-  // Same retry/failover loop for an explicit batch against one node.
-  Result<std::vector<net::Response>> ExecuteBatchOnNode(Node* node,
-                                                        const std::vector<net::Request>& ops);
+  // The one retry/failover loop: runs `call` on the node's client under
+  // node.mutex, recovering and retrying (bounded, with backoff) on I/O
+  // failure; kFailingOver once the attempts run out or the node is dead.
+  template <typename Call>
+  auto RunOnNode(Node* node, Call call) -> decltype(call(*node->client));
   // Requires node.mutex: try to restore service, promoting if needed.
   Status RecoverNodeLocked(Node& node);
   void ProbeLoop();

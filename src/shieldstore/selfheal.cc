@@ -1,6 +1,7 @@
 #include "src/shieldstore/selfheal.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -36,7 +37,6 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
     s->index = i;
     s->window_us.store(options_.group_commit_window_us, std::memory_order_relaxed);
     const std::string prefix = "wal.shard" + std::to_string(i) + ".";
-    s->ctr_appends = &metrics_->GetCounter(prefix + "appends");
     s->ctr_commit_waits = &metrics_->GetCounter(prefix + "commit_waits");
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
@@ -98,7 +98,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
     return st;
   }
   *my_seq = ++s.appended;
-  s.ctr_appends->Inc();
   if (sink_.load(std::memory_order_acquire) != nullptr) {
     // Captured now, shipped by the commit leader once the record's group
     // fsyncs — the record order in pending_ship is the shard's apply order.
@@ -230,20 +229,14 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
   }
 }
 
+kv::BatchOpResult WriteAheadStore::ExecuteOne(kv::BatchOp op) {
+  std::vector<kv::BatchOp> ops;
+  ops.push_back(std::move(op));
+  return std::move(ExecuteBatch(ops).front());
+}
+
 Status WriteAheadStore::Set(std::string_view key, std::string_view value) {
-  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  if (Status st = inner_.Set(key, value); !st.ok()) {
-    return st;
-  }
-  if (Status st = AppendLocked(s, /*is_delete=*/false, key, value, &my_seq); !st.ok()) {
-    return st;
-  }
-  return AwaitDurable(s, lock, my_seq);
+  return ExecuteOne({kv::BatchOpType::kSet, std::string(key), std::string(value), 0}).status;
 }
 
 Result<std::string> WriteAheadStore::Get(std::string_view key) {
@@ -251,67 +244,34 @@ Result<std::string> WriteAheadStore::Get(std::string_view key) {
 }
 
 Status WriteAheadStore::Delete(std::string_view key) {
-  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  if (Status st = inner_.Delete(key); !st.ok()) {
-    return st;  // kNotFound changed no state, so nothing to log either
-  }
-  if (Status st = AppendLocked(s, /*is_delete=*/true, key, "", &my_seq); !st.ok()) {
-    return st;
-  }
-  return AwaitDurable(s, lock, my_seq);
+  return ExecuteOne({kv::BatchOpType::kDelete, std::string(key), "", 0}).status;
 }
 
 Status WriteAheadStore::Append(std::string_view key, std::string_view suffix) {
-  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  if (Status st = inner_.Append(key, suffix); !st.ok()) {
-    return st;
-  }
-  // Log the resulting state, not the computation: replay must be
-  // deterministic against a partition restored from any snapshot.
-  Result<std::string> now = inner_.Get(key);
-  if (!now.ok()) {
-    return now.status();
-  }
-  if (Status st = AppendLocked(s, /*is_delete=*/false, key, *now, &my_seq); !st.ok()) {
-    return st;
-  }
-  return AwaitDurable(s, lock, my_seq);
+  return ExecuteOne({kv::BatchOpType::kAppend, std::string(key), std::string(suffix), 0})
+      .status;
 }
 
 Result<int64_t> WriteAheadStore::Increment(std::string_view key, int64_t delta) {
-  Shard& s = shard(ShardOfPartition(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
+  const kv::BatchOpResult r =
+      ExecuteOne({kv::BatchOpType::kIncrement, std::string(key), "", delta});
+  if (!r.status.ok()) {
+    return r.status;
   }
-  uint64_t my_seq = 0;
-  Result<int64_t> value = inner_.Increment(key, delta);
-  if (!value.ok()) {
-    return value;
-  }
-  if (Status st =
-          AppendLocked(s, /*is_delete=*/false, key, std::to_string(value.value()), &my_seq);
-      !st.ok()) {
-    return st;
-  }
-  if (Status st = AwaitDurable(s, lock, my_seq); !st.ok()) {
-    return st;
-  }
+  // The result carries the new value in decimal (the BatchOpResult contract).
+  int64_t value = 0;
+  std::from_chars(r.value.data(), r.value.data() + r.value.size(), value);
   return value;
 }
 
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
+  if (std::none_of(ops.begin(), ops.end(), [](const kv::BatchOp& op) {
+        return op.type != kv::BatchOpType::kGet;
+      })) {
+    // Nothing to log: reads bypass the WAL and its shard locks, as Get does.
+    return inner_.ExecuteBatch(ops);
+  }
   std::vector<kv::BatchOpResult> results(ops.size());
   // Group op indices by shard, preserving original order within a group —
   // a key maps to one partition, a partition to one shard, so per-key order
@@ -332,14 +292,19 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     if (groups[sh].empty()) {
       continue;
     }
-    sub_ops.clear();
-    for (const size_t i : groups[sh]) {
-      sub_ops.push_back(ops[i]);
+    // A batch that touches one shard (every singleton) is its own group:
+    // no copy.
+    const std::vector<kv::BatchOp>* group_ops = &ops;
+    if (groups[sh].size() != ops.size()) {
+      sub_ops.clear();
+      for (const size_t i : groups[sh]) {
+        sub_ops.push_back(ops[i]);
+      }
+      group_ops = &sub_ops;
     }
     if (mutations[sh] == 0) {
-      // Read-only group: nothing to log, so no shard lock — reads bypass
-      // the WAL exactly as singleton Get does.
-      sub_results = inner_.ExecuteBatch(sub_ops);
+      // Read-only group: nothing to log, so no shard lock.
+      sub_results = inner_.ExecuteBatch(*group_ops);
       for (size_t j = 0; j < groups[sh].size(); ++j) {
         results[groups[sh][j]] = std::move(sub_results[j]);
       }
@@ -360,7 +325,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
       continue;
     }
     uint64_t last_seq = 0;  // 0 = nothing appended, nothing to await
-    sub_results = inner_.ExecuteBatch(sub_ops);
+    sub_results = inner_.ExecuteBatch(*group_ops);
     // Append a record for every mutation that applied, in apply order,
     // under the SAME lock hold — acked ⇒ logged, batch-wide.
     Status append_failed;

@@ -1,41 +1,26 @@
-// Online partition self-healing, on a sharded write-ahead log.
-//
-// PR 1 built the offline recovery machinery: partitions quarantine on an
-// integrity violation and RecoverPartition() rebuilds one from its snapshot
-// generation plus the committed oplog suffix. PR 2 made that a serving-path
-// feature behind a single global log — and one global mutex, which collapsed
-// the write parallelism the paper's partitioned design (§5.3, Fig. 13)
-// exists to deliver. This revision shards the log:
+// Write-ahead logging and online partition self-healing.
 //
 //  * WriteAheadStore runs one operation-log shard per partition (or per
 //    partition group, OpLogOptions::num_shards), each with its own mutex,
-//    record chain, monotonic counter, and fsync cadence. A mutation locks
-//    only its key's shard, applies to the inner store, and appends to that
-//    shard's log, and writers to different partitions never contend. Reads
-//    bypass the facade entirely.
-//  * Group-commit batcher: every ack is durable. The first writer to find
-//    its shard's batch open becomes the commit leader; it waits for the
-//    window to close (OpLogOptions::group_commit_window_us, 0 = at once, or
-//    group_commit_ops records to accumulate, whichever first), writes the
-//    commit record under the shard lock, then fsyncs with the lock RELEASED
-//    so concurrent writers keep appending into the next batch. Followers
-//    just wait for a leader to make their record durable. One fsync + one
-//    counter bump thus amortize over every writer in the window.
-//  * Bounded-log compaction: when a shard's log outgrows a threshold, the
-//    maintenance thread (SelfHealer::Tick) folds the shard's partitions into
-//    fresh baseline snapshots — crash-safe via the existing SHA-256-footer +
-//    atomic-rename + counter roll-forward path — then truncates the shard
-//    log to a fresh epoch. Recovery time and disk growth stay bounded no
-//    matter how long the daemon runs. A crash anywhere in that sequence
-//    recovers: the snapshot either never committed (old generation + full
-//    log still replay) or committed (new generation + not-yet-truncated log
-//    replay to the same state, since the log's final values are what was
-//    snapshotted).
-//
-// Recovery window: the healer commits one SHARD's log, then replays it while
-// holding that shard's lock (WithCommittedShard). Mutations to that shard's
-// partitions block for those few milliseconds; every other shard — and all
-// reads — keep serving at full speed.
+//    record chain, monotonic counter and fsync cadence. Every mutation —
+//    a singleton verb is a batch of one — goes through ExecuteBatch: it
+//    locks only its keys' shards, applies to the inner store, appends to
+//    those shards' logs, and is acked once a group commit has fsync'd its
+//    records. Reads bypass the log.
+//  * Group commit: the first writer to find its shard's batch open becomes
+//    the commit leader; it waits for the window to close (adaptive, capped
+//    at OpLogOptions::group_commit_window_us, or group_commit_ops records),
+//    writes the commit record under the shard lock, then fsyncs with the
+//    lock released so other writers append into the next batch. One fsync
+//    and one counter bump serve every writer in the window.
+//  * Bounded-log compaction: SelfHealer::Tick folds an oversized shard's
+//    partitions into a fresh snapshot generation (or an arena checkpoint)
+//    and truncates the shard log to a fresh epoch. A crash anywhere in that
+//    sequence recovers: either the old generation plus the full log replay,
+//    or the new generation plus a log whose final values it already holds.
+//  * Recovery: the healer commits one shard's log and replays it while
+//    holding that shard's lock (WithCommittedShard), so only mutations to
+//    that shard's partitions wait; other shards and all reads keep serving.
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 
@@ -70,19 +55,20 @@ class WriteAheadStore : public kv::KeyValueStore {
   // mutations. Shard i lives at options.path + ".p<i>".
   Status Open();
 
+  // The four mutations are batches of one through ExecuteBatch.
   Status Set(std::string_view key, std::string_view value) override;
   Result<std::string> Get(std::string_view key) override;
   Status Delete(std::string_view key) override;
   Status Append(std::string_view key, std::string_view suffix) override;
   Result<int64_t> Increment(std::string_view key, int64_t delta) override;
-  // Batched mutations under ONE group-commit handle per touched shard: the
-  // shard's sub-ops apply (partition-grouped, via the inner ExecuteBatch)
-  // and append to the shard log under a single lock hold, then a single
-  // AwaitDurable on the last record's sequence covers the whole group — a
-  // batched ack is exactly as durable as N singleton acks, for one fsync
-  // wait. Gets ride in their key's shard group so per-key read-after-write
-  // order within the batch is preserved; a batch with no mutations skips
-  // the shard locks entirely.
+  // The one mutation path, under ONE group-commit handle per touched shard:
+  // the shard's sub-ops apply (partition-grouped, via the inner
+  // ExecuteBatch) and append to the shard log under a single lock hold,
+  // then a single AwaitDurable on the last record's sequence covers the
+  // whole group, so an ack means fsync'd whatever the batch size. Gets ride
+  // in their key's shard group so per-key read-after-write order within the
+  // batch is preserved; a batch with no mutations skips the shard locks
+  // entirely.
   std::vector<kv::BatchOpResult> ExecuteBatch(const std::vector<kv::BatchOp>& ops) override;
   size_t Size() const override { return inner_.Size(); }
   std::string Name() const override { return "ShieldStore/write-ahead"; }
@@ -201,12 +187,13 @@ class WriteAheadStore : public kv::KeyValueStore {
     Status failed;  // latched fatal commit error: durability can no longer
                     // be promised, so every later mutation fails fast
     // Per-shard observability (wal.shard<i>.*), cached at construction.
-    obs::Counter* ctr_appends = nullptr;
     obs::Counter* ctr_commit_waits = nullptr;
     obs::Counter* ctr_compactions = nullptr;
   };
 
   Shard& shard(size_t s) { return *shards_[s]; }
+  // Runs `op` as a batch of one.
+  kv::BatchOpResult ExecuteOne(kv::BatchOp op);
   // Appends one record under `lock` and assigns it a sequence.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
                       std::string_view value, uint64_t* my_seq);

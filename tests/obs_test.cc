@@ -53,6 +53,9 @@ TEST(HistogramTest, SmallValuesExact) {
     h.Record(1);
   }
   const HistogramData d = h.Data();
+#if !SHIELD_OBS_ENABLED
+  EXPECT_EQ(d.count, 0u);  // recording compiled out
+#else
   EXPECT_EQ(d.count, 10u);
   EXPECT_EQ(d.sum, 10u);
   EXPECT_EQ(d.max, 1u);
@@ -61,6 +64,7 @@ TEST(HistogramTest, SmallValuesExact) {
   EXPECT_DOUBLE_EQ(d.Quantile(0.5), 1.0);
   EXPECT_DOUBLE_EQ(d.Quantile(0.99), 1.0);
   EXPECT_DOUBLE_EQ(d.Mean(), 1.0);
+#endif
 }
 
 TEST(HistogramTest, EmptyHistogramIsZero) {
@@ -86,6 +90,10 @@ TEST(HistogramTest, QuantilesMatchSortedOracle) {
     }
     std::sort(values.begin(), values.end());
     const HistogramData d = h.Data();
+#if !SHIELD_OBS_ENABLED
+    EXPECT_EQ(d.count, 0u) << label;  // recording compiled out
+    return;
+#endif
     ASSERT_EQ(d.count, values.size());
     for (const double q : {0.10, 0.50, 0.90, 0.95, 0.99, 1.0}) {
       // Same target-rank convention as HistogramData::Quantile: the smallest
@@ -140,6 +148,9 @@ TEST(HistogramTest, MergeAndSubtract) {
   HistogramData da = a.Data();
   const HistogramData db = b.Data();
   da.Merge(db);
+#if !SHIELD_OBS_ENABLED
+  EXPECT_EQ(da.count, 0u);  // recording compiled out
+#else
   EXPECT_EQ(da.count, 300u);
   EXPECT_EQ(da.sum, 100u * 100 + 100u * 100 + 100u * 10'000);
   EXPECT_EQ(da.max, 10'000u);
@@ -151,6 +162,7 @@ TEST(HistogramTest, MergeAndSubtract) {
     EXPECT_EQ(index, static_cast<uint16_t>(Histogram::BucketOf(10'000)));
     EXPECT_EQ(n, 100u);
   }
+#endif
 }
 
 // -------------------------------------------------- concurrent recording
@@ -189,9 +201,11 @@ TEST(MetricsTest, ConcurrentRecordersAreExact) {
   for (auto& t : threads) {
     t.join();
   }
-  EXPECT_EQ(counter.Value(), uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(gauge.Value(), 0);
+#if SHIELD_OBS_ENABLED
+  EXPECT_EQ(counter.Value(), uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(hist.Data().count, uint64_t{kThreads} * kOpsPerThread);
+#endif
 }
 
 TEST(MetricsTest, ResetClearsEverything) {
@@ -261,7 +275,9 @@ TEST(SnapshotTest, WireRoundTripPreservesEverything) {
   // Histogram quantiles survive the trip (the CLI computes them client-side).
   const HistogramData* h = back->Histogram("net.latency.get");
   ASSERT_NE(h, nullptr);
+#if SHIELD_OBS_ENABLED
   EXPECT_GT(h->Quantile(0.5), 0.0);
+#endif
 }
 
 TEST(SnapshotTest, DecodeRejectsMalformedFramesTyped) {
@@ -315,25 +331,30 @@ TEST(SnapshotTest, DeltaSubtractsCountersAndKeepsGauges) {
   const MetricsSnapshot later = registry.Snapshot();
 
   const MetricsSnapshot d = Delta(earlier, later);
-  EXPECT_EQ(d.CounterValue("ops"), 32u);
-  EXPECT_EQ(d.GaugeValue("inflight"), 2);
   const HistogramData* h = d.Histogram("lat");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
   // A metric born after `earlier` passes through unchanged.
   registry.GetCounter("late.arrival").Inc(7);
   const MetricsSnapshot d2 = Delta(earlier, registry.Snapshot());
+  EXPECT_TRUE(d2.Has("late.arrival"));
+#if SHIELD_OBS_ENABLED
+  EXPECT_EQ(d.CounterValue("ops"), 32u);
+  EXPECT_EQ(d.GaugeValue("inflight"), 2);
+  EXPECT_EQ(h->count, 2u);
   EXPECT_EQ(d2.CounterValue("late.arrival"), 7u);
+#endif
 }
 
 TEST(SnapshotTest, RenderingsContainTheMetrics) {
   const MetricsSnapshot snap = BuildSample();
   const std::string prom = RenderPrometheus(snap);
   EXPECT_NE(prom.find("# TYPE shield_net_ops_get counter"), std::string::npos);
+  EXPECT_NE(prom.find("shield_net_latency_get{quantile=\"0.99\"}"), std::string::npos);
+#if SHIELD_OBS_ENABLED
   EXPECT_NE(prom.find("shield_net_ops_get 42"), std::string::npos);
   EXPECT_NE(prom.find("shield_net_inflight -3"), std::string::npos);
-  EXPECT_NE(prom.find("shield_net_latency_get{quantile=\"0.99\"}"), std::string::npos);
   EXPECT_NE(prom.find("shield_net_latency_get_count 1000"), std::string::npos);
+#endif
 
   const std::string table = RenderTable(snap);
   EXPECT_NE(table.find("net.ops.get"), std::string::npos);
@@ -378,7 +399,7 @@ TEST(TracerTest, SamplingEveryNIsPeriodic) {
       ++fired;
     }
   }
-  EXPECT_EQ(fired, 16);
+  EXPECT_EQ(fired, SHIELD_OBS_ENABLED ? 16 : 0);
   TraceSetSampleEvery(0);
   for (int i = 0; i < 16; ++i) {
     EXPECT_FALSE(SampleRoot());
@@ -400,21 +421,25 @@ TEST(TracerTest, ScopesRecordOnlyWhenSampled) {
   EXPECT_TRUE(TraceConsume().empty());
 
   TraceSetSampleEvery(1);
-  uint64_t trace_id = 0;
+  [[maybe_unused]] uint64_t trace_id = 0;
   {
     const Scope root = TraceRoot("sampled");
-    EXPECT_TRUE(root.active());
+    EXPECT_EQ(root.active(), SHIELD_OBS_ENABLED == 1);
     trace_id = root.trace_id();
     Scope child("child");
-    EXPECT_TRUE(child.active());
+    EXPECT_EQ(child.active(), SHIELD_OBS_ENABLED == 1);
   }
   TraceDrain();
   const std::vector<Span> spans = TraceConsume();
+  TraceSetSampleEvery(256);
+#if SHIELD_OBS_ENABLED
   ASSERT_EQ(spans.size(), 2u);  // child closes before root
   EXPECT_EQ(spans[0].trace_id, trace_id);
   EXPECT_EQ(spans[1].trace_id, trace_id);
   EXPECT_EQ(spans[0].parent_span, spans[1].span_id);
-  TraceSetSampleEvery(256);
+#else
+  EXPECT_TRUE(spans.empty());
+#endif
 }
 
 // Runs one stage scope on `registry` under a root sampled 1-in-`every` and
@@ -766,6 +791,10 @@ TEST(WatchdogTest, FirstCallBaselinesThenDeltasBreach) {
   }
   bad.SetHistogram("stage.mac_batch", h.Data());
   const std::vector<SloBreach> breaches = dog.Evaluate(bad);
+#if !SHIELD_OBS_ENABLED
+  EXPECT_TRUE(breaches.empty());  // the samples were never recorded
+  return;
+#endif
   ASSERT_FALSE(breaches.empty());
   EXPECT_EQ(breaches[0].metric, "stage.mac_batch.p99");
   EXPECT_GT(breaches[0].observed, t.stage_p99_ns);

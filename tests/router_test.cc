@@ -408,6 +408,147 @@ TEST_F(ReplicationTest, ClientReconnectRunsAFreshHandshake) {
   EXPECT_EQ(client.Get("sticky").value(), "2");
 }
 
+// ------------------------------------------------- standby apply batching
+
+// A standby's ReplicaNode over its own WriteAheadStore, fed frames directly
+// (no shipper, no sockets), with every wal.* metric in a private registry.
+class ReplicaApplyTest : public ::testing::Test {
+ protected:
+  ReplicaApplyTest() : enclave_(FastEnclave()), store_(enclave_, SmallOptions(), 4) {
+    dir_ = ::testing::TempDir() + "/replica_apply_" + std::to_string(::getpid()) + "_" +
+           std::to_string(reinterpret_cast<uintptr_t>(this));
+    std::filesystem::create_directories(dir_);
+    sgx::MonotonicCounterService::Options counter_opts;
+    counter_opts.backing_file = dir_ + "/counters.bin";
+    counter_opts.increment_cost_cycles = 0;
+    counters_ = std::make_unique<sgx::MonotonicCounterService>(counter_opts);
+    sealer_ = std::make_unique<sgx::SealingService>(AsBytes("standby"), enclave_.measurement());
+    shieldstore::OpLogOptions log_opts;
+    log_opts.path = dir_ + "/wal.log";
+    log_opts.metrics = &registry_;
+    wal_ = std::make_unique<shieldstore::WriteAheadStore>(store_, *sealer_, *counters_,
+                                                          log_opts);
+    EXPECT_TRUE(wal_->Open().ok());
+    replica_ = std::make_unique<ReplicaNode>(*wal_, &registry_);
+  }
+
+  ~ReplicaApplyTest() override { std::filesystem::remove_all(dir_); }
+
+  net::Response Send(const net::ReplicateFrame& frame) {
+    net::Request request;
+    request.op = net::OpCode::kReplicate;
+    const Bytes encoded = net::EncodeReplicateFrame(frame);
+    request.value.assign(AsString(encoded));
+    return replica_->HandleReplicate(request);
+  }
+
+  static net::ReplicateFrame Frame(net::ReplicateType type) {
+    net::ReplicateFrame frame;
+    frame.type = type;
+    frame.epoch = 9;
+    return frame;
+  }
+
+  // Hello (primary with 2 shards) + an empty snapshot: the node is tailing.
+  void Bootstrap() {
+    net::ReplicateFrame hello = Frame(net::ReplicateType::kHello);
+    hello.num_shards = 2;
+    ASSERT_EQ(Send(hello).status, Code::kOk);
+    ASSERT_EQ(Send(Frame(net::ReplicateType::kSnapshotDone)).status, Code::kOk);
+  }
+
+  uint64_t GroupCommits() { return registry_.GetCounter("wal.group_commits").Value(); }
+
+  sgx::Enclave enclave_;
+  shieldstore::PartitionedStore store_;
+  obs::Registry registry_;
+  std::string dir_;
+  std::unique_ptr<sgx::MonotonicCounterService> counters_;
+  std::unique_ptr<sgx::SealingService> sealer_;
+  std::unique_ptr<shieldstore::WriteAheadStore> wal_;
+  std::unique_ptr<ReplicaNode> replica_;
+};
+
+TEST_F(ReplicaApplyTest, EachDataFrameCostsAtMostOneGroupCommitPerShard) {
+  net::ReplicateFrame hello = Frame(net::ReplicateType::kHello);
+  hello.num_shards = 2;
+  ASSERT_EQ(Send(hello).status, Code::kOk);
+
+  net::ReplicateFrame chunk = Frame(net::ReplicateType::kSnapshotChunk);
+  for (int i = 0; i < 256; ++i) {
+    chunk.entries.push_back({false, "snap-" + std::to_string(i), "s" + std::to_string(i)});
+  }
+  uint64_t before = GroupCommits();
+  ASSERT_EQ(Send(chunk).status, Code::kOk);
+  EXPECT_LE(GroupCommits() - before, wal_->num_shards()) << "one commit per entry";
+  EXPECT_EQ(registry_.GetCounter("repl.snapshot_entries").Value(), 256u);
+  ASSERT_EQ(Send(Frame(net::ReplicateType::kSnapshotDone)).status, Code::kOk);
+
+  // 60 sets, 3 deletes of snapshot keys and 1 delete of a key that never
+  // existed (kNotFound counts as applied).
+  net::ReplicateFrame entries = Frame(net::ReplicateType::kEntries);
+  entries.shard = 1;
+  entries.first_seq = 1;
+  for (int i = 0; i < 60; ++i) {
+    entries.entries.push_back({false, "tail-" + std::to_string(i), "t" + std::to_string(i)});
+  }
+  for (int i = 0; i < 3; ++i) {
+    entries.entries.push_back({true, "snap-" + std::to_string(i), ""});
+  }
+  entries.entries.push_back({true, "never-existed", ""});
+  ASSERT_EQ(entries.entries.size(), 64u);
+  before = GroupCommits();
+  ASSERT_EQ(Send(entries).status, Code::kOk);
+  EXPECT_LE(GroupCommits() - before, wal_->num_shards()) << "one commit per entry";
+
+  for (int i = 0; i < 256; ++i) {
+    const Result<std::string> got = wal_->Get("snap-" + std::to_string(i));
+    if (i < 3) {
+      EXPECT_EQ(got.status().code(), Code::kNotFound) << i;
+    } else {
+      EXPECT_EQ(got.value(), "s" + std::to_string(i));
+    }
+  }
+  for (int i = 0; i < 60; ++i) {
+    EXPECT_EQ(wal_->Get("tail-" + std::to_string(i)).value(), "t" + std::to_string(i));
+  }
+  EXPECT_EQ(replica_->watermarks(), (std::vector<uint64_t>{0, 64}));
+  EXPECT_EQ(replica_->applied_entries(), 64u);
+  // Re-logged locally: every applied set and delete is a WAL record.
+  EXPECT_EQ(registry_.GetCounter("wal.records").Value(), 256u + 63u);
+}
+
+TEST_F(ReplicaApplyTest, FailedEntryStopsTheWatermarkBeforeIt) {
+  Bootstrap();
+  // Quarantine the partition of entry 5's key: its apply fails typed.
+  net::ReplicateFrame entries = Frame(net::ReplicateType::kEntries);
+  entries.first_seq = 11;
+  for (int i = 0; i < 16; ++i) {
+    entries.entries.push_back({false, "k" + std::to_string(i), "v" + std::to_string(i)});
+  }
+  const size_t bad = store_.PartitionOf("k5");
+  size_t first_bad = 0;
+  while (store_.PartitionOf(entries.entries[first_bad].key) != bad) {
+    ++first_bad;
+  }
+  store_.WithPartitionLocked(bad, [](shieldstore::Store&) {
+    return Status(Code::kIntegrityFailure, "tampered for the test");
+  });
+  ASSERT_TRUE(store_.IsQuarantined(bad));
+
+  EXPECT_EQ(Send(entries).status, Code::kPartitionRecovering);
+  EXPECT_EQ(replica_->watermarks()[0], entries.first_seq + first_bad - 1);
+  EXPECT_EQ(replica_->applied_entries(), first_bad);
+  // Entries on healthy partitions applied, including those after the
+  // failure; the retransmit from the watermark re-applies them unchanged.
+  for (size_t i = 0; i < entries.entries.size(); ++i) {
+    const net::ReplicateEntry& e = entries.entries[i];
+    if (store_.PartitionOf(e.key) != bad) {
+      EXPECT_EQ(wal_->Get(e.key).value(), e.value) << e.key;
+    }
+  }
+}
+
 // ---------------------------------------------------------- fault tooling
 
 TEST(NodeKillerTest, KillFreezeThawAndAlive) {

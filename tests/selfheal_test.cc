@@ -17,6 +17,7 @@
 #include "src/faultinject/tamper.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/obs/tracer.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -376,6 +377,82 @@ TEST_F(SelfHealNetTest, StatsCarryWalHealAndPartitionMetricsWithoutAHook) {
     EXPECT_EQ(snap->GaugeValue(name), local.GaugeValue(name)) << name;
   }
   EXPECT_LE(snap->GaugeValue("wal.window_us"), int64_t{kWindowCapUs});
+}
+
+TEST_F(SelfHealNetTest, DepthOneVerbsKeepSingletonResponsesCountersAndSpans) {
+  StartStack();
+  ClientOptions copts;
+  copts.enable_tracing = true;
+  Client client(authority_, enclave_.measurement(), /*encrypt=*/true, copts);
+  ASSERT_TRUE(client.Connect(server_->port()).ok());
+  const uint64_t records_before = registry_.GetCounter("wal.records").Value();
+
+  // One request in flight at a time: every frame is a run of one.
+  const auto run = [&](net::OpCode op, std::string key, std::string value, int64_t delta) {
+    net::Request request;
+    request.op = op;
+    request.key = std::move(key);
+    request.value = std::move(value);
+    request.delta = delta;
+    Result<net::Response> response = client.Execute(request);
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? *response : net::Response{};
+  };
+  std::vector<net::Response> responses;
+  [[maybe_unused]] uint64_t trace_id = 0;
+  obs::TraceSetSampleEvery(1);
+  {
+    const obs::Scope root = obs::TraceRoot("test.depth_one");
+    trace_id = root.trace_id();
+    responses.push_back(run(net::OpCode::kSet, "d1", "a", 0));
+    responses.push_back(run(net::OpCode::kAppend, "d1", "b", 0));
+    responses.push_back(run(net::OpCode::kSet, "ctr", "41", 0));
+    responses.push_back(run(net::OpCode::kIncrement, "ctr", "", 1));
+    responses.push_back(run(net::OpCode::kGet, "d1", "", 0));
+    responses.push_back(run(net::OpCode::kGet, "absent", "", 0));
+  }
+  obs::TraceSetSampleEvery(256);  // restore before any assert can bail
+
+  // Singleton response semantics: only gets and increments carry a value.
+  const std::vector<std::pair<Code, std::string>> want = {
+      {Code::kOk, ""}, {Code::kOk, ""},   {Code::kOk, ""},
+      {Code::kOk, "42"}, {Code::kOk, "ab"}, {Code::kNotFound, ""}};
+  ASSERT_EQ(responses.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(responses[i].status, want[i].first) << i;
+    EXPECT_EQ(responses[i].value, want[i].second) << i;
+  }
+
+  const obs::MetricsSnapshot snap = registry_.Snapshot();
+  EXPECT_EQ(snap.CounterValue("net.ops.set"), 2u);
+  EXPECT_EQ(snap.CounterValue("net.ops.append"), 1u);
+  EXPECT_EQ(snap.CounterValue("net.ops.increment"), 1u);
+  EXPECT_EQ(snap.CounterValue("net.ops.get"), 2u);
+  EXPECT_EQ(snap.Histogram("net.latency.set")->count, 2u);
+  EXPECT_EQ(snap.Histogram("net.latency.get")->count, 2u);
+  // A run of one is not a coalesced batch, and not a kBatch frame either.
+  EXPECT_EQ(snap.CounterValue("net.coalesced.batches"), 0u);
+  EXPECT_EQ(snap.CounterValue("net.coalesced.ops"), 0u);
+  EXPECT_EQ(snap.Histogram("net.coalesce_depth")->count, 0u);
+  EXPECT_EQ(snap.CounterValue("net.batches"), 0u);
+  EXPECT_EQ(snap.CounterValue("net.batch_ops.set"), 0u);
+  // Four mutations, four records (Append and Increment log resulting state).
+  EXPECT_EQ(snap.CounterValue("wal.records") - records_before, 4u);
+  EXPECT_EQ(wal_->Get("d1").value(), "ab");
+
+#if SHIELD_OBS_ENABLED
+  Result<std::vector<obs::SpanRecord>> dump = client.TraceDump();
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  std::map<std::string, int> names;
+  for (const obs::SpanRecord& span : *dump) {
+    if (span.trace_id == trace_id && span.name.rfind("server.", 0) == 0) {
+      ++names[span.name];
+    }
+  }
+  const std::map<std::string, int> want_names = {
+      {"server.set", 2}, {"server.append", 1}, {"server.increment", 1}, {"server.get", 2}};
+  EXPECT_EQ(names, want_names);
+#endif
 }
 
 }  // namespace
