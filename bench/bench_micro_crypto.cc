@@ -1,7 +1,8 @@
 // Microbenchmarks of the crypto substrate: these are the primitive costs
 // every figure decomposes into — per-entry AES-CTR + CMAC (ShieldStore's op
-// cost), the interleaved batch CMAC used by scrub verification, and the
-// keyed hashes on the lookup path.
+// cost), the interleaved batch CMAC used by scrub verification, the keyed
+// hashes on the lookup path, and the per-record cost of the session channel
+// (net.session_seal / net.session_open) on the active backend.
 //
 // CTR and CMAC run at BOTH backends (table reference and AES-NI when the
 // CPU has it) in one invocation and the per-size GB/s plus hardware/table
@@ -23,6 +24,7 @@
 #include "src/crypto/ctr.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/siphash.h"
+#include "src/net/channel.h"
 
 namespace shield::crypto {
 namespace {
@@ -90,6 +92,39 @@ double BenchCmacBatch(AesBackend backend, size_t size, double seconds) {
   });
   (void)sink;
   return gbps;
+}
+
+// Nanoseconds per session record at `size` bytes: one Seal, one Open (timed
+// as Seal + Open minus Seal, since a receiver only opens the next record in
+// sequence), and one record of an 8-record SealRun.
+struct SessionRecordNs {
+  double seal = 0;
+  double open = 0;
+  double seal_run = 0;
+};
+
+SessionRecordNs BenchSessionRecord(size_t size, double seconds) {
+  const Bytes keys(net::SessionCrypto::kKeyMaterialSize, 0x42);
+  net::SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+  net::SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+  const Bytes payload(size, 0x17);
+  volatile uint8_t sink = 0;
+  // Throughput with 1 "byte" per call counts calls per ns, scaled by 1e-9.
+  auto ns_per_call = [&](auto&& fn) { return 1.0 / Throughput(seconds, 1, fn); };
+  SessionRecordNs out;
+  out.seal = ns_per_call([&] { sink = client.Seal(payload)[0]; });
+  const double round_trip = ns_per_call([&] { sink = (*server.Open(client.Seal(payload)))[0]; });
+  out.open = round_trip - out.seal;
+  const std::vector<Bytes> run(8, payload);
+  std::vector<Bytes> records;
+  out.seal_run = ns_per_call([&] {
+                   records.clear();
+                   server.SealRun(run, records);
+                   sink = records[0][0];
+                 }) /
+                 static_cast<double>(run.size());
+  (void)sink;
+  return out;
 }
 
 std::string Fmt(double v, const char* spec = "%.3f") {
@@ -176,6 +211,22 @@ int Run(double seconds, const std::string& out_path) {
             Fmt(sha) + "}";
     json += ",\n    {\"op\": \"siphash\", \"backend\": \"-\", \"size\": 64, \"gbps\": " +
             Fmt(sip) + "}";
+  }
+
+  // Session channel records at the get_hot response (28 B), a typical
+  // request/response (150 B) and the get_cold response (540 B).
+  std::printf("%-18s %-10s %8s %12s\n", "op", "backend", "size", "ns/record");
+  for (size_t size : {28u, 150u, 540u}) {
+    const SessionRecordNs ns = BenchSessionRecord(size, seconds);
+    const std::pair<const char*, double> rows[] = {
+        {"session_seal", ns.seal}, {"session_open", ns.open}, {"session_seal_run8", ns.seal_run}};
+    for (const auto& [op, value] : rows) {
+      std::printf("%-18s %-10s %8zu %12s\n", op, AesBackendName(ActiveAesBackend()), size,
+                  Fmt(value, "%.1f").c_str());
+      json += std::string(",\n    {\"op\": \"") + op + "\", \"backend\": \"" +
+              AesBackendName(ActiveAesBackend()) + "\", \"size\": " + std::to_string(size) +
+              ", \"ns_per_record\": " + Fmt(value, "%.1f") + "}";
+    }
   }
 
   json += "\n  ],\n  \"ctr_speedup\": " + Fmt(ctr_speedup, "%.2f") +

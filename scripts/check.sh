@@ -43,6 +43,10 @@ echo "== crypto backend equivalence: forced-soft pass on the default build =="
 # skip themselves, proving the env override reaches dispatch).
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/crypto_test --gtest_brief=1
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/kv_test --gtest_brief=1
+# The pre-keyed session records and sealed blobs against their raw-key
+# reference formats, on the table backend.
+SHIELD_FORCE_SOFT_AES=1 ./build/tests/net_test --gtest_brief=1 --gtest_filter='SessionCryptoTest.*'
+SHIELD_FORCE_SOFT_AES=1 ./build/tests/sgx_test --gtest_brief=1 --gtest_filter='SealingTest.*'
 
 echo "== crypto backend equivalence: -DSHIELD_DISABLE_AESNI build =="
 # Compile-time gate: a build without the AES-NI TU at all must still pass
@@ -273,20 +277,34 @@ kill "$NL_PID"; wait "$NL_PID" 2>/dev/null || true
 echo "reactor netload OK"
 
 echo "== metrics overhead gate (< 3% vs no-op build) =="
-# Same bench compiled twice: metrics recording always-on (default) vs
-# compiled to no-ops (-DSHIELD_METRICS=OFF). Recording must keep >= 97% of
-# the no-op throughput.
-cmake -B build-noobs -S . -DSHIELD_METRICS=OFF >/dev/null
+# Same bench compiled twice, at the build type build/ uses: metrics recording
+# always-on (default) vs compiled to no-ops (-DSHIELD_METRICS=OFF).
+# Recording must keep >= 97% of the no-op throughput. One 0.3-s smoke pair
+# spreads wider than 3% on a small VM, so the gate takes the median ratio of
+# 5 interleaved on/off pairs, alternating which side runs first.
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
+cmake -B build-noobs -S . -DSHIELD_METRICS=OFF -DCMAKE_BUILD_TYPE="$BUILD_TYPE" >/dev/null
 cmake --build build-noobs -j "$JOBS" --target bench_metrics_overhead obs_test
 # The obs unit tests must hold with recording compiled out too.
 ./build-noobs/tests/obs_test --gtest_brief=1
-ON_KOPS="$(./build/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
-OFF_KOPS="$(SHIELD_BENCH_JSON_DIR=build-noobs ./build-noobs/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
-echo "metrics on: $ON_KOPS Kop/s, metrics off: $OFF_KOPS Kop/s"
-awk -v on="$ON_KOPS" -v off="$OFF_KOPS" 'BEGIN {
-  ratio = off > 0 ? on / off : 0;
-  printf "overhead ratio: %.3f (gate: >= 0.97)\n", ratio;
-  exit ratio >= 0.97 ? 0 : 1;
+metrics_kops() {
+  SHIELD_BENCH_JSON_DIR="$1" "./$1/bench/bench_metrics_overhead" --smoke |
+    awk '/^RESULT kops/ {print $3}'
+}
+RATIOS=""
+for pair in 1 2 3 4 5; do
+  if [ $((pair % 2)) -eq 1 ]; then
+    ON_KOPS="$(metrics_kops build)"; OFF_KOPS="$(metrics_kops build-noobs)"
+  else
+    OFF_KOPS="$(metrics_kops build-noobs)"; ON_KOPS="$(metrics_kops build)"
+  fi
+  echo "pair $pair: metrics on $ON_KOPS Kop/s, metrics off $OFF_KOPS Kop/s"
+  RATIOS="$RATIOS $(awk -v on="$ON_KOPS" -v off="$OFF_KOPS" 'BEGIN { printf "%.4f", (off > 0 ? on / off : 0) }')"
+done
+echo "$RATIOS" | tr ' ' '\n' | grep . | sort -g | awk '{ r[NR] = $1 } END {
+  m = r[(NR + 1) / 2];
+  printf "overhead ratio: median %.3f of %d pairs (gate: >= 0.97)\n", m, NR;
+  exit m >= 0.97 ? 0 : 1;
 }'
 
 echo "All checks passed."

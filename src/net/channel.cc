@@ -1,5 +1,6 @@
 #include "src/net/channel.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/crypto/cmac.h"
@@ -15,6 +16,14 @@ namespace {
 
 constexpr uint8_t kClientToServer = 0x01;
 constexpr uint8_t kServerToClient = 0x02;
+
+// A record's sequence number and direction, [u64 seq LE][u8 direction]:
+// the start of its counter block and the MAC's prefix.
+constexpr size_t kRecordHeaderSize = 9;
+void WriteRecordHeader(uint64_t seq, uint8_t direction, uint8_t out[kRecordHeaderSize]) {
+  StoreLe64(out, seq);
+  out[8] = direction;
+}
 
 Bytes DeriveSessionKeys(const crypto::X25519Key& shared, ByteSpan client_nonce,
                         ByteSpan server_nonce) {
@@ -36,48 +45,63 @@ crypto::Sha256Digest TranscriptHash(ByteSpan client_hello, const crypto::X25519K
 
 }  // namespace
 
+SessionCrypto::Direction::Direction(const uint8_t* keys, uint8_t direction_id)
+    : enc(ByteSpan(keys, 16)), mac(ByteSpan(keys + 16, 16)), id(direction_id) {}
+
+// Key material layout: [c2s enc | c2s mac | s2c enc | s2c mac].
 SessionCrypto::SessionCrypto(ByteSpan key_material, bool is_client, bool encrypt)
-    : encrypt_(encrypt) {
-  // Key material layout: [c2s enc | c2s mac | s2c enc | s2c mac].
-  const uint8_t* c2s = key_material.data();
-  const uint8_t* s2c = key_material.data() + 32;
-  if (is_client) {
-    std::memcpy(send_enc_key_.data(), c2s, 16);
-    std::memcpy(send_mac_key_.data(), c2s + 16, 16);
-    std::memcpy(recv_enc_key_.data(), s2c, 16);
-    std::memcpy(recv_mac_key_.data(), s2c + 16, 16);
-    send_direction_ = kClientToServer;
-    recv_direction_ = kServerToClient;
-  } else {
-    std::memcpy(send_enc_key_.data(), s2c, 16);
-    std::memcpy(send_mac_key_.data(), s2c + 16, 16);
-    std::memcpy(recv_enc_key_.data(), c2s, 16);
-    std::memcpy(recv_mac_key_.data(), c2s + 16, 16);
-    send_direction_ = kServerToClient;
-    recv_direction_ = kClientToServer;
-  }
-}
+    : send_(key_material.data() + (is_client ? 0 : 32),
+            is_client ? kClientToServer : kServerToClient),
+      recv_(key_material.data() + (is_client ? 32 : 0),
+            is_client ? kServerToClient : kClientToServer),
+      encrypt_(encrypt) {}
 
 Bytes SessionCrypto::Seal(ByteSpan plaintext) {
   if (!encrypt_) {
     return Bytes(plaintext.begin(), plaintext.end());
   }
-  const uint64_t seq = send_seq_++;
-  Bytes record(plaintext.size() + crypto::kCmacSize);
-  uint8_t counter[16] = {};
-  StoreLe64(counter, seq);
-  counter[8] = send_direction_;
-  crypto::AesCtrTransform(ByteSpan(send_enc_key_.data(), 16), counter, 32, plaintext,
-                          MutableByteSpan(record.data(), plaintext.size()));
-  crypto::Cmac cmac(ByteSpan(send_mac_key_.data(), 16));
-  uint8_t header[9];
-  StoreLe64(header, seq);
-  header[8] = send_direction_;
-  cmac.Update(ByteSpan(header, sizeof(header)));
-  cmac.Update(ByteSpan(record.data(), plaintext.size()));
-  const crypto::Mac mac = cmac.Finalize();
-  std::memcpy(record.data() + plaintext.size(), mac.data(), mac.size());
+  Bytes record;
+  SealLanes(&plaintext, 1, &record);
   return record;
+}
+
+void SessionCrypto::SealRun(std::span<const Bytes> plaintexts, std::vector<Bytes>& out) {
+  if (!encrypt_) {
+    out.insert(out.end(), plaintexts.begin(), plaintexts.end());
+    return;
+  }
+  const size_t first = out.size();
+  out.resize(first + plaintexts.size());
+  for (size_t base = 0; base < plaintexts.size(); base += crypto::kCmacBatchLanes) {
+    const size_t n = std::min(crypto::kCmacBatchLanes, plaintexts.size() - base);
+    ByteSpan lanes[crypto::kCmacBatchLanes];
+    for (size_t i = 0; i < n; ++i) {
+      lanes[i] = plaintexts[base + i];
+    }
+    SealLanes(lanes, n, &out[first + base]);
+  }
+}
+
+void SessionCrypto::SealLanes(const ByteSpan* plaintexts, size_t n, Bytes* records) {
+  uint8_t headers[crypto::kCmacBatchLanes][kRecordHeaderSize];
+  crypto::CmacMessage messages[crypto::kCmacBatchLanes];
+  for (size_t i = 0; i < n; ++i) {
+    const ByteSpan pt = plaintexts[i];
+    const uint64_t seq = send_.seq++;
+    records[i].resize(pt.size() + crypto::kCmacSize);
+    uint8_t counter[16] = {};
+    WriteRecordHeader(seq, send_.id, counter);
+    crypto::AesCtrTransform(send_.enc, counter, 32, pt,
+                            MutableByteSpan(records[i].data(), pt.size()));
+    WriteRecordHeader(seq, send_.id, headers[i]);
+    messages[i].Append(ByteSpan(headers[i], kRecordHeaderSize));
+    messages[i].Append(ByteSpan(records[i].data(), pt.size()));
+  }
+  crypto::Mac tags[crypto::kCmacBatchLanes];
+  crypto::CmacSignBatch(send_.mac, std::span<const crypto::CmacMessage>(messages, n), tags);
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(records[i].data() + plaintexts[i].size(), tags[i].data(), crypto::kCmacSize);
+  }
 }
 
 Result<Bytes> SessionCrypto::Open(ByteSpan record) {
@@ -87,25 +111,23 @@ Result<Bytes> SessionCrypto::Open(ByteSpan record) {
   if (record.size() < crypto::kCmacSize) {
     return Status(Code::kProtocolError, "record too short");
   }
-  const uint64_t seq = recv_seq_;
+  const uint64_t seq = recv_.seq;
   const size_t ct_len = record.size() - crypto::kCmacSize;
-  crypto::Cmac cmac(ByteSpan(recv_mac_key_.data(), 16));
-  uint8_t header[9];
-  StoreLe64(header, seq);
-  header[8] = recv_direction_;
-  cmac.Update(ByteSpan(header, sizeof(header)));
-  cmac.Update(record.subspan(0, ct_len));
-  const crypto::Mac mac = cmac.Finalize();
+  uint8_t header[kRecordHeaderSize];
+  WriteRecordHeader(seq, recv_.id, header);
+  crypto::CmacMessage message;
+  message.Append(ByteSpan(header, sizeof(header)));
+  message.Append(record.subspan(0, ct_len));
+  crypto::Mac mac;
+  crypto::CmacSignBatch(recv_.mac, std::span<const crypto::CmacMessage>(&message, 1), &mac);
   if (!ConstantTimeEqual(ByteSpan(mac.data(), mac.size()), record.subspan(ct_len))) {
     return Status(Code::kProtocolError, "record authentication failed");
   }
-  ++recv_seq_;
+  ++recv_.seq;
   Bytes plaintext(ct_len);
   uint8_t counter[16] = {};
-  StoreLe64(counter, seq);
-  counter[8] = recv_direction_;
-  crypto::AesCtrTransform(ByteSpan(recv_enc_key_.data(), 16), counter, 32,
-                          record.subspan(0, ct_len), plaintext);
+  WriteRecordHeader(seq, recv_.id, counter);
+  crypto::AesCtrTransform(recv_.enc, counter, 32, record.subspan(0, ct_len), plaintext);
   return plaintext;
 }
 

@@ -15,11 +15,14 @@
 #ifndef SHIELDSTORE_SRC_NET_CHANNEL_H_
 #define SHIELDSTORE_SRC_NET_CHANNEL_H_
 
-#include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/crypto/aes.h"
+#include "src/crypto/cmac.h"
 #include "src/sgx/attestation.h"
 #include "src/sgx/enclave.h"
 
@@ -27,6 +30,8 @@ namespace shield::net {
 
 // Per-session record protection. Constructed from the 64 bytes of HKDF
 // output; the `is_client` flag selects which half keys which direction.
+// Each direction's AES-CTR schedule and CMAC subkeys are expanded once here,
+// so sealing or opening a record runs no key expansion.
 class SessionCrypto {
  public:
   static constexpr size_t kKeyMaterialSize = 64;
@@ -38,20 +43,34 @@ class SessionCrypto {
   // Protects an outgoing payload: returns ciphertext || MAC(16).
   Bytes Seal(ByteSpan plaintext);
 
+  // Seals `plaintexts` as consecutive records and appends them to `out`,
+  // byte-identical to calling Seal on each in order. The records' MACs are
+  // computed kCmacBatchLanes at a time through crypto::CmacSignBatch.
+  void SealRun(std::span<const Bytes> plaintexts, std::vector<Bytes>& out);
+
   // Opens an incoming record; kProtocolError on any forgery or replay.
   Result<Bytes> Open(ByteSpan record);
 
   bool encrypting() const { return encrypt_; }
 
  private:
-  std::array<uint8_t, 16> send_enc_key_;
-  std::array<uint8_t, 16> send_mac_key_;
-  std::array<uint8_t, 16> recv_enc_key_;
-  std::array<uint8_t, 16> recv_mac_key_;
-  uint8_t send_direction_;
-  uint8_t recv_direction_;
-  uint64_t send_seq_ = 0;
-  uint64_t recv_seq_ = 0;
+  // One direction's pre-expanded keys and record sequence number.
+  struct Direction {
+    // `keys` is 32 bytes: AES-CTR key || CMAC key.
+    Direction(const uint8_t* keys, uint8_t direction_id);
+
+    crypto::Aes128 enc;
+    crypto::CmacKey mac;
+    uint8_t id;
+    uint64_t seq = 0;
+  };
+
+  // Seals `n` <= kCmacBatchLanes payloads into `records` under the next
+  // send sequence numbers.
+  void SealLanes(const ByteSpan* plaintexts, size_t n, Bytes* records);
+
+  Direction send_;
+  Direction recv_;
   bool encrypt_;
 };
 

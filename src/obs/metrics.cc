@@ -4,12 +4,6 @@
 
 namespace shield::obs {
 
-size_t ThreadShard(size_t limit) {
-  static std::atomic<size_t> next{0};
-  static thread_local size_t assigned = next.fetch_add(1, std::memory_order_relaxed);
-  return assigned % limit;
-}
-
 double HistogramData::Quantile(double q) const {
   if (count == 0) {
     return 0.0;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/common/cycles.h"
+#include "src/common/thread_shard.h"
 
 #if defined(SHIELD_OBS_NOOP)
 #define SHIELD_OBS_ENABLED 0
@@ -39,9 +40,6 @@ struct MetricsSnapshot;  // snapshot.h
 // stable slot, so two service threads rarely contend on the same line.
 inline constexpr size_t kCounterShards = 16;
 inline constexpr size_t kHistogramShards = 8;
-
-// Stable per-thread shard index in [0, limit). Cheap after first call.
-size_t ThreadShard(size_t limit);
 
 // Monotonic counter. Inc is a relaxed fetch_add on the caller's shard.
 class Counter {

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/common/cycles.h"
+#include "src/common/thread_shard.h"
 #include "src/crypto/cmac.h"
 #include "src/crypto/ctr.h"
 
@@ -38,7 +39,7 @@ void EpcSimulator::Touch(const void* addr, size_t len, bool write) {
   assert(a >= region_base_ && a + len <= region_base_ + region_bytes_);
   const size_t first = (a - region_base_) / config_.page_bytes;
   const size_t last = (a + len - 1 - region_base_) / config_.page_bytes;
-  touches_.fetch_add(1, std::memory_order_relaxed);
+  touches_[ThreadShard(kTouchSlots)].count.fetch_add(1, std::memory_order_relaxed);
   for (size_t page = first; page <= last; ++page) {
     const uint8_t state = page_state_[page].load(std::memory_order_acquire);
     if (state & kResident) {
@@ -140,7 +141,9 @@ bool EpcSimulator::IsResident(const void* addr, size_t len) const {
 
 EpcStats EpcSimulator::stats() const {
   EpcStats s;
-  s.touches = touches_.load(std::memory_order_relaxed);
+  for (const TouchSlot& slot : touches_) {
+    s.touches += slot.count.load(std::memory_order_relaxed);
+  }
   s.faults = faults_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(fault_mutex_);
@@ -149,7 +152,9 @@ EpcStats EpcSimulator::stats() const {
 }
 
 void EpcSimulator::ResetStats() {
-  touches_.store(0, std::memory_order_relaxed);
+  for (TouchSlot& slot : touches_) {
+    slot.count.store(0, std::memory_order_relaxed);
+  }
   faults_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
 }

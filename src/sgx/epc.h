@@ -117,7 +117,13 @@ class EpcSimulator {
   size_t resident_count_ = 0;       // guarded by fault_mutex_
   size_t clock_hand_ = 0;           // guarded by fault_mutex_
 
-  std::atomic<uint64_t> touches_{0};
+  // Touch count, one cacheline-padded slot per thread (see ThreadShard), so
+  // concurrent resident touches do not contend on one line; stats() folds.
+  static constexpr size_t kTouchSlots = 16;
+  struct alignas(64) TouchSlot {
+    std::atomic<uint64_t> count{0};
+  };
+  TouchSlot touches_[kTouchSlots];
   std::atomic<uint64_t> faults_{0};
   std::atomic<uint64_t> evictions_{0};
 };

@@ -9,13 +9,31 @@
 
 namespace shield::sgx {
 
-SealingService::SealingService(ByteSpan fuse_key, const Measurement& mrenclave) {
-  // KDF: fuse key x measurement -> (enc, mac) keys, mirroring EGETKEY's
-  // derivation of seal keys bound to MRENCLAVE.
-  const Bytes okm = crypto::Hkdf(ByteSpan(mrenclave.data(), mrenclave.size()), fuse_key,
-                                 AsBytes("sgx-seal-keys-v1"), 32);
-  std::memcpy(enc_key_.data(), okm.data(), 16);
-  std::memcpy(mac_key_.data(), okm.data() + 16, 16);
+namespace {
+
+// KDF: fuse key x measurement -> (enc, mac) keys, mirroring EGETKEY's
+// derivation of seal keys bound to MRENCLAVE.
+Bytes DeriveSealKeys(ByteSpan fuse_key, const Measurement& mrenclave) {
+  return crypto::Hkdf(ByteSpan(mrenclave.data(), mrenclave.size()), fuse_key,
+                      AsBytes("sgx-seal-keys-v1"), 32);
+}
+
+}  // namespace
+
+SealingService::SealingService(ByteSpan fuse_key, const Measurement& mrenclave)
+    : SealingService(DeriveSealKeys(fuse_key, mrenclave)) {}
+
+SealingService::SealingService(const Bytes& keys)
+    : enc_(ByteSpan(keys.data(), 16)), mac_(ByteSpan(keys.data() + 16, 16)) {}
+
+crypto::Mac SealingService::BlobMac(ByteSpan blob, ByteSpan aad, ByteSpan ciphertext) const {
+  crypto::CmacMessage message;
+  message.Append(blob.subspan(0, 24));
+  message.Append(aad);
+  message.Append(ciphertext);
+  crypto::Mac tag;
+  crypto::CmacSignBatch(mac_, std::span<const crypto::CmacMessage>(&message, 1), &tag);
+  return tag;
 }
 
 Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
@@ -26,13 +44,8 @@ Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
   StoreLe32(blob.data() + 16, static_cast<uint32_t>(aad.size()));
   StoreLe32(blob.data() + 20, static_cast<uint32_t>(plaintext.size()));
   uint8_t* ct = blob.data() + 24;
-  crypto::AesCtrTransform(ByteSpan(enc_key_.data(), 16), iv, 32, plaintext,
-                          MutableByteSpan(ct, plaintext.size()));
-  crypto::Cmac cmac(ByteSpan(mac_key_.data(), 16));
-  cmac.Update(ByteSpan(blob.data(), 24));
-  cmac.Update(aad);
-  cmac.Update(ByteSpan(ct, plaintext.size()));
-  const crypto::Mac tag = cmac.Finalize();
+  crypto::AesCtrTransform(enc_, iv, 32, plaintext, MutableByteSpan(ct, plaintext.size()));
+  const crypto::Mac tag = BlobMac(blob, aad, ByteSpan(ct, plaintext.size()));
   std::memcpy(blob.data() + 24 + plaintext.size(), tag.data(), tag.size());
   return blob;
 }
@@ -46,18 +59,13 @@ Result<Bytes> SealingService::Unseal(ByteSpan blob, ByteSpan aad) const {
   if (aad_len != aad.size() || blob.size() != kOverhead + pt_len) {
     return Status(Code::kIntegrityFailure, "sealed blob length fields corrupted");
   }
-  const uint8_t* ct = blob.data() + 24;
-  crypto::Cmac cmac(ByteSpan(mac_key_.data(), 16));
-  cmac.Update(blob.subspan(0, 24));
-  cmac.Update(aad);
-  cmac.Update(ByteSpan(ct, pt_len));
-  const crypto::Mac tag = cmac.Finalize();
+  const ByteSpan ct = blob.subspan(24, pt_len);
+  const crypto::Mac tag = BlobMac(blob, aad, ct);
   if (!ConstantTimeEqual(ByteSpan(tag.data(), tag.size()), blob.subspan(24 + pt_len, 16))) {
     return Status(Code::kIntegrityFailure, "sealed blob MAC mismatch");
   }
   Bytes plaintext(pt_len);
-  crypto::AesCtrTransform(ByteSpan(enc_key_.data(), 16), blob.data(), 32, ByteSpan(ct, pt_len),
-                          plaintext);
+  crypto::AesCtrTransform(enc_, blob.data(), 32, ct, plaintext);
   return plaintext;
 }
 

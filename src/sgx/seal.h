@@ -12,6 +12,8 @@
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/crypto/aes.h"
+#include "src/crypto/cmac.h"
 #include "src/sgx/enclave.h"
 
 namespace shield::sgx {
@@ -20,7 +22,8 @@ class SealingService {
  public:
   // `fuse_key` models the per-CPU root sealing key (16 bytes); the actual
   // sealing keys are derived from it and the enclave measurement, so blobs
-  // sealed by one enclave identity do not unseal under another.
+  // sealed by one enclave identity do not unseal under another. Both keys'
+  // schedules (and the CMAC subkeys) are expanded once, here.
   SealingService(ByteSpan fuse_key, const Measurement& mrenclave);
 
   Bytes Seal(ByteSpan plaintext, ByteSpan aad) const;
@@ -31,8 +34,15 @@ class SealingService {
   static constexpr size_t kOverhead = 16 + 4 + 4 + 16;
 
  private:
-  std::array<uint8_t, 16> enc_key_;
-  std::array<uint8_t, 16> mac_key_;
+  // `keys` is the 32-byte KDF output: AES-CTR key || CMAC key.
+  explicit SealingService(const Bytes& keys);
+
+  // CMAC of the blob header (its first 24 bytes: iv, aad_len, pt_len), then
+  // `aad`, then `ciphertext`.
+  crypto::Mac BlobMac(ByteSpan blob, ByteSpan aad, ByteSpan ciphertext) const;
+
+  crypto::Aes128 enc_;
+  crypto::CmacKey mac_;
 };
 
 }  // namespace shield::sgx

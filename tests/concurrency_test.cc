@@ -24,6 +24,7 @@
 #include "src/faultinject/tamper.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
+#include "src/sgx/epc.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -552,6 +553,42 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) { RunCompactio
 
 TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversaryUnderCommitWindow) {
   RunCompactionRace(100);
+}
+
+// Resident-page touches from several threads land in per-thread slots; the
+// folded count must still be exact, and ResetStats must clear every slot.
+TEST_F(ConcurrencyTest, EpcTouchCountIsExactAcrossThreads) {
+  sgx::EpcConfig config;
+  config.epc_bytes = 64 * 4096;
+  config.crossing_cycles = 0;
+  config.kernel_fault_cycles = 0;
+  config.resident_access_cycles = 0;
+  config.page_crypto = false;
+  std::vector<uint8_t> region(16 * 4096);
+  sgx::EpcSimulator epc(config, region.data(), region.size());
+  epc.Touch(region.data(), region.size(), /*write=*/true);  // every page resident
+  epc.ResetStats();
+  EXPECT_EQ(epc.stats().touches, 0u);
+  constexpr int kThreads = 4;
+  constexpr int kTouchesPerThread = 20'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kTouchesPerThread; ++i) {
+        const size_t page = static_cast<size_t>(i * 7 + t) % 16;
+        epc.Touch(region.data() + page * 4096, 64, i % 2 == 0);
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  const sgx::EpcStats stats = epc.stats();
+  EXPECT_EQ(stats.touches, uint64_t{kThreads} * kTouchesPerThread);
+  EXPECT_EQ(stats.faults, 0u);
+  EXPECT_EQ(stats.resident_pages, 16u);
+  epc.ResetStats();
+  EXPECT_EQ(epc.stats().touches, 0u);
 }
 
 // Metrics recorders race snapshot readers (run under TSan by check.sh):

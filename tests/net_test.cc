@@ -12,6 +12,8 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/crypto/cmac.h"
+#include "src/crypto/ctr.h"
 #include "src/net/client.h"
 #include "src/net/replication.h"
 #include "src/net/server.h"
@@ -346,6 +348,109 @@ TEST(SessionCryptoTest, PlaintextModePassthrough) {
   SessionCrypto a(keys, true, /*encrypt=*/false);
   const Bytes record = a.Seal(AsBytes("clear"));
   EXPECT_EQ(AsString(record), "clear");
+}
+
+// The record format built from raw keys, with a fresh key expansion per
+// call: CTR under the counter block [u64 seq LE][u8 direction][0...], then
+// CMAC over [u64 seq LE][u8 direction] || ciphertext. `keys` is one
+// direction's 32 bytes of key material, AES-CTR key || CMAC key.
+Bytes ReferenceRecord(ByteSpan keys, uint8_t direction, uint64_t seq, ByteSpan plaintext) {
+  uint8_t counter[16] = {};
+  StoreLe64(counter, seq);
+  counter[8] = direction;
+  Bytes ciphertext(plaintext.size());
+  crypto::AesCtrTransform(keys.subspan(0, 16), counter, 32, plaintext, ciphertext);
+  Bytes mac_input(counter, counter + 9);
+  mac_input.insert(mac_input.end(), ciphertext.begin(), ciphertext.end());
+  const crypto::Mac tag = crypto::CmacSign(keys.subspan(16, 16), mac_input);
+  Bytes record = ciphertext;
+  record.insert(record.end(), tag.begin(), tag.end());
+  return record;
+}
+
+TEST(SessionCryptoTest, RecordsMatchRawKeyReference) {
+  Bytes keys(SessionCrypto::kKeyMaterialSize);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<uint8_t>(0xa5 ^ (i * 29));
+  }
+  const ByteSpan c2s = ByteSpan(keys).subspan(0, 32);
+  const ByteSpan s2c = ByteSpan(keys).subspan(32, 32);
+  for (size_t size : {0u, 1u, 15u, 16u, 17u, 28u, 150u, 540u, 64u * 1024u}) {
+    SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+    SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+    for (uint64_t seq = 0; seq < 4; ++seq) {
+      Bytes plaintext(size);
+      for (size_t i = 0; i < size; ++i) {
+        plaintext[i] = static_cast<uint8_t>(i * 7 + seq);
+      }
+      const Bytes request = ReferenceRecord(c2s, 0x01, seq, plaintext);
+      EXPECT_EQ(client.Seal(plaintext), request) << "c2s size " << size << " seq " << seq;
+      Result<Bytes> opened = server.Open(request);
+      ASSERT_TRUE(opened.ok()) << "size " << size << " seq " << seq;
+      EXPECT_EQ(*opened, plaintext);
+
+      const Bytes response = ReferenceRecord(s2c, 0x02, seq, plaintext);
+      EXPECT_EQ(server.Seal(plaintext), response) << "s2c size " << size << " seq " << seq;
+      Result<Bytes> opened2 = client.Open(response);
+      ASSERT_TRUE(opened2.ok()) << "size " << size << " seq " << seq;
+      EXPECT_EQ(*opened2, plaintext);
+    }
+  }
+}
+
+TEST(SessionCryptoTest, SealRunMatchesSequentialSeals) {
+  Bytes keys(SessionCrypto::kKeyMaterialSize, 0x3c);
+  SessionCrypto sequential(keys, /*is_client=*/false, /*encrypt=*/true);
+  SessionCrypto batched(keys, /*is_client=*/false, /*encrypt=*/true);
+  SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+  // Runs shorter than, equal to and longer than the CMAC lane count; the
+  // last ends with the typed error a session's auth failure answers with.
+  size_t payload_size = 0;
+  for (size_t run : {1u, 3u, 8u, 9u, 17u}) {
+    std::vector<Bytes> payloads;
+    for (size_t i = 0; i < run; ++i) {
+      Response r;
+      r.value = std::string(payload_size, static_cast<char>('a' + i % 26));
+      payloads.push_back(EncodeResponse(r));
+      payload_size = (payload_size * 5 + 13) % 600;
+    }
+    if (run == 17) {
+      Response error;
+      error.status = Code::kProtocolError;
+      payloads.push_back(EncodeResponse(error));
+    }
+    std::vector<Bytes> expected;
+    for (const Bytes& p : payloads) {
+      expected.push_back(sequential.Seal(p));
+    }
+    std::vector<Bytes> records = {ToBytes("earlier response")};
+    batched.SealRun(payloads, records);
+    ASSERT_EQ(records.size(), payloads.size() + 1);
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_EQ(records[i + 1], expected[i]) << "run " << run << " record " << i;
+      Result<Bytes> opened = client.Open(records[i + 1]);
+      ASSERT_TRUE(opened.ok()) << "run " << run << " record " << i;
+      EXPECT_EQ(*opened, payloads[i]);
+    }
+  }
+  // The run left the send sequence where sequential seals leave it: the next
+  // record opens, a replay of it or a tampered copy of the one after does not.
+  const Bytes next = batched.Seal(ToBytes("after the run"));
+  EXPECT_EQ(next, sequential.Seal(ToBytes("after the run")));
+  ASSERT_TRUE(client.Open(next).ok());
+  EXPECT_FALSE(client.Open(next).ok());
+  Bytes tampered = batched.Seal(ToBytes("tampered"));
+  tampered[0] ^= 1;
+  EXPECT_FALSE(client.Open(tampered).ok());
+  tampered[0] ^= 1;
+  EXPECT_TRUE(client.Open(tampered).ok());
+
+  // Without record protection a run passes the payloads through.
+  SessionCrypto clear(keys, /*is_client=*/false, /*encrypt=*/false);
+  std::vector<Bytes> out;
+  const std::vector<Bytes> payloads = {ToBytes("a"), ToBytes("bc")};
+  clear.SealRun(payloads, out);
+  EXPECT_EQ(out, payloads);
 }
 
 // ------------------------------------------------------------ end to end

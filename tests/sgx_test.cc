@@ -2,9 +2,14 @@
 // sealing, monotonic counters, attestation, HotCalls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "src/crypto/cmac.h"
+#include "src/crypto/ctr.h"
+#include "src/crypto/hmac.h"
 #include "src/sgx/attestation.h"
 #include "src/sgx/boundary.h"
 #include "src/sgx/counter.h"
@@ -219,6 +224,59 @@ TEST(SealingTest, BoundToMeasurement) {
   SealingService theirs(AsBytes("fuse-key-0123456"), other.measurement());
   const Bytes blob = ours.Seal(ToBytes("payload"), {});
   EXPECT_FALSE(theirs.Unseal(blob, {}).ok());
+}
+
+TEST(SealingTest, BlobFormatMatchesRawKeyReference) {
+  Enclave enclave(SmallEnclave());
+  const Bytes fuse = ToBytes("fuse-key-0123456");
+  SealingService sealer(fuse, enclave.measurement());
+  // The sealing keys, derived and used raw (a fresh key expansion per call).
+  const Bytes okm =
+      crypto::Hkdf(ByteSpan(enclave.measurement().data(), enclave.measurement().size()), fuse,
+                   AsBytes("sgx-seal-keys-v1"), 32);
+  const ByteSpan enc_key = ByteSpan(okm).subspan(0, 16);
+  const ByteSpan mac_key = ByteSpan(okm).subspan(16, 16);
+  auto reference_mac = [&](ByteSpan blob, ByteSpan aad, size_t pt_len) {
+    Bytes input(blob.begin(), blob.begin() + 24);
+    input.insert(input.end(), aad.begin(), aad.end());
+    input.insert(input.end(), blob.begin() + 24, blob.begin() + 24 + pt_len);
+    return crypto::CmacSign(mac_key, input);
+  };
+  for (size_t size : {0u, 1u, 17u, 150u, 540u, 64u * 1024u}) {
+    for (const Bytes& aad : {Bytes{}, ToBytes("counter=7")}) {
+      Bytes pt(size);
+      for (size_t i = 0; i < size; ++i) {
+        pt[i] = static_cast<uint8_t>(i * 13 + aad.size());
+      }
+      // Reference -> service: a blob built from the raw keys unseals.
+      Bytes blob(SealingService::kOverhead + size);
+      for (size_t i = 0; i < 16; ++i) {
+        blob[i] = static_cast<uint8_t>(0xf0 + i);  // iv
+      }
+      StoreLe32(blob.data() + 16, static_cast<uint32_t>(aad.size()));
+      StoreLe32(blob.data() + 20, static_cast<uint32_t>(size));
+      crypto::AesCtrTransform(enc_key, blob.data(), 32, pt,
+                              MutableByteSpan(blob.data() + 24, size));
+      const crypto::Mac tag = reference_mac(blob, aad, size);
+      std::memcpy(blob.data() + 24 + size, tag.data(), tag.size());
+      Result<Bytes> back = sealer.Unseal(blob, aad);
+      ASSERT_TRUE(back.ok()) << "size " << size << ": " << back.status().ToString();
+      EXPECT_EQ(*back, pt);
+
+      // Service -> reference: the service's blob verifies and decrypts raw.
+      const Bytes sealed = sealer.Seal(pt, aad);
+      ASSERT_EQ(sealed.size(), SealingService::kOverhead + size);
+      EXPECT_EQ(LoadLe32(sealed.data() + 16), aad.size());
+      EXPECT_EQ(LoadLe32(sealed.data() + 20), size);
+      const crypto::Mac expected = reference_mac(sealed, aad, size);
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), sealed.begin() + 24 + size))
+          << "size " << size;
+      Bytes decrypted(size);
+      crypto::AesCtrTransform(enc_key, sealed.data(), 32, ByteSpan(sealed.data() + 24, size),
+                              decrypted);
+      EXPECT_EQ(decrypted, pt);
+    }
+  }
 }
 
 // --------------------------------------------------------------- Counters
