@@ -69,9 +69,10 @@ STATS_DIR="$(mktemp -d)"
 FO_DIR="$(mktemp -d)"
 NL_DIR="$(mktemp -d)"
 OBS_DIR="$(mktemp -d)"
+RS_DIR="$(mktemp -d)"
 FO_PIDS=""
 OBS_PIDS=""
-trap 'kill ${SERVER_PID:-} ${FO_PIDS:-} ${NL_PID:-} ${OBS_PIDS:-} 2>/dev/null || true; rm -rf "$STATS_DIR" "$FO_DIR" "$NL_DIR" "$OBS_DIR"' EXIT
+trap 'kill ${SERVER_PID:-} ${RS_PID:-} ${FO_PIDS:-} ${NL_PID:-} ${OBS_PIDS:-} 2>/dev/null || true; rm -rf "$STATS_DIR" "$RS_DIR" "$FO_DIR" "$NL_DIR" "$OBS_DIR"' EXIT
 ./build/tools/shieldstore_server --port 0 --partitions 2 --heal-dir "$STATS_DIR/heal" \
   --stats-interval-s 1 > "$STATS_DIR/server.log" 2>&1 &
 SERVER_PID=$!
@@ -100,6 +101,62 @@ for metric in shield_net_ops_get shield_net_latency_get_count shield_stage_searc
 done
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 echo "stats pipeline OK"
+
+echo "== daemon restart: kill -9 restarts continue the committed WAL, a geometry change rebaselines =="
+# Write, kill -9, restart, overwrite and delete, kill -9, restart again, all
+# through shieldstore_cli: every acked value and delete must come back, and
+# the restarts must continue the shard logs instead of rebaselining. Then a
+# restart with --partitions 3 takes the rebaseline path and must keep them
+# all too.
+rs_boot() { # rs_boot PARTITIONS EXPECTED_BOOT_MODE
+  ./build/tools/shieldstore_server --port 0 --partitions "$1" --heal-dir "$RS_DIR/heal" \
+    --stats-interval-s 0 > "$RS_DIR/server.log" 2>&1 &
+  RS_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q 'listening on' "$RS_DIR/server.log" 2>/dev/null && break
+    sleep 0.1
+  done
+  grep -q "boot restore .*($2)" "$RS_DIR/server.log" \
+    || { echo "daemon restart: expected a boot with '$2'"; cat "$RS_DIR/server.log"; exit 1; }
+  local port meas
+  port="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$RS_DIR/server.log")"
+  meas="$(sed -n 's/.*measurement (give to clients): \([0-9a-f]*\).*/\1/p' "$RS_DIR/server.log")"
+  RS_CLI="./build/tools/shieldstore_cli --port $port --measurement $meas"
+}
+rs_verify() { # every acked value reads back; every acked delete stays deleted
+  local key got
+  for key in "${!RS_ACKED[@]}"; do
+    got="$($RS_CLI get "$key")" || { echo "daemon restart: lost acked write $key"; exit 1; }
+    [ "$got" = "${RS_ACKED[$key]}" ] || { echo "daemon restart: $key read '$got'"; exit 1; }
+  done
+  for key in "${!RS_DELETED[@]}"; do
+    got="$($RS_CLI get "$key" 2>&1)" || true
+    [[ "$got" == NOT_FOUND* ]] || { echo "daemon restart: deleted $key read '$got'"; exit 1; }
+  done
+}
+declare -A RS_ACKED RS_DELETED
+rs_boot 2 rebaselined
+for i in $(seq 1 30); do
+  $RS_CLI set "rs-key$i" "first$i" > /dev/null && RS_ACKED[rs-key$i]="first$i"
+done
+[ "${#RS_ACKED[@]}" -eq 30 ] || { echo "daemon restart: only ${#RS_ACKED[@]} of 30 sets acked"; exit 1; }
+kill -9 "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
+rs_boot 2 "logs continued"
+rs_verify
+for i in $(seq 3 3 30); do
+  $RS_CLI set "rs-key$i" "second$i" > /dev/null && RS_ACKED[rs-key$i]="second$i"
+done
+for i in 1 2 4 5; do
+  $RS_CLI del "rs-key$i" > /dev/null && { unset "RS_ACKED[rs-key$i]"; RS_DELETED[rs-key$i]=1; }
+done
+kill -9 "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
+rs_boot 2 "logs continued"
+rs_verify
+kill -9 "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
+rs_boot 3 rebaselined
+rs_verify
+kill "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
+echo "daemon restart OK (${#RS_ACKED[@]} values and ${#RS_DELETED[@]} deletes verified across 3 restarts)"
 
 echo "== multi-process failover smoke: 2 primaries + warm standbys, kill one mid-traffic =="
 # Two shards behind the CLI's consistent-hash cluster mode, each primary

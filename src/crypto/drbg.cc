@@ -89,9 +89,9 @@ void Drbg::Refill() {
   // Fast key erasure: fold part of the output back into the key so earlier
   // outputs cannot be reconstructed from captured state.
   if ((block_counter_ & 0x3FF) == 0) {
-    std::memcpy(key_.data(), buffer_.data() + 32, 32);
-    std::memset(buffer_.data() + 32, 0, 32);
-    buffer_pos_ = 32;  // consume only the untouched half
+    std::memcpy(key_.data(), buffer_.data(), 32);
+    std::memset(buffer_.data(), 0, 32);
+    buffer_pos_ = 32;  // consume only the half that did not become the key
   }
 }
 

@@ -39,7 +39,9 @@ crypto::Mac SealingService::BlobMac(ByteSpan blob, ByteSpan aad, ByteSpan cipher
 Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
   Bytes blob(kOverhead + plaintext.size());
   uint8_t* iv = blob.data();
-  crypto::Drbg drbg;  // fresh OS-entropy IV per blob
+  // Random IV per blob from a per-thread DRBG seeded once from the OS:
+  // seeding costs more than a small blob's crypto, so it runs per thread.
+  thread_local crypto::Drbg drbg;
   drbg.Fill(MutableByteSpan(iv, 16));
   StoreLe32(blob.data() + 16, static_cast<uint32_t>(aad.size()));
   StoreLe32(blob.data() + 20, static_cast<uint32_t>(plaintext.size()));

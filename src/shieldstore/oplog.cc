@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 namespace shield::shieldstore {
@@ -55,9 +56,9 @@ Result<DecodedRecord> DecodeRecord(ByteSpan plain) {
 }
 
 // Streams authenticated records, stopping cleanly at a torn/truncated tail.
-// `cb` returns false to abort. Outputs the final chain state.
-Status ScanLog(const std::string& path, const sgx::SealingService& sealer,
-               int32_t* counter_id, crypto::Mac* final_chain, uint64_t* final_seq,
+// `cb` returns false to abort. Outputs the committed tail: the state right
+// after the last commit record scanned.
+Status ScanLog(const std::string& path, const sgx::SealingService& sealer, LogTail* committed,
                const std::function<bool(const DecodedRecord&)>& cb) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -78,9 +79,12 @@ Status ScanLog(const std::string& path, const sgx::SealingService& sealer,
     std::fclose(f);
     return Status(Code::kIntegrityFailure, "log header corrupted");
   }
-  *counter_id = static_cast<int32_t>(LoadLe32(id_bytes));
+  LogTail tail;
+  tail.counter_id = static_cast<int32_t>(LoadLe32(id_bytes));
+  tail.bytes = sizeof(kLogMagic) + sizeof(id_bytes);
   crypto::Mac chain{};
   uint64_t seq = 0;
+  uint64_t offset = tail.bytes;
   std::vector<uint8_t> frame;
   for (;;) {
     uint8_t len_bytes[4];
@@ -111,13 +115,18 @@ Status ScanLog(const std::string& path, const sgx::SealingService& sealer,
     // Advance the chain: the next record is bound to this frame's seal tag.
     std::memcpy(chain.data(), frame.data() + frame.size() - 16, 16);
     ++seq;
+    offset += sizeof(len_bytes) + len;
+    if (record->op == kOpCommit) {
+      tail.bytes = offset;
+      tail.chain = chain;
+      tail.sequence = seq;
+    }
     if (!cb(*record)) {
       break;
     }
   }
   std::fclose(f);
-  *final_chain = chain;
-  *final_seq = seq;
+  *committed = tail;
   return Status::Ok();
 }
 
@@ -155,29 +164,46 @@ void OperationLog::SetLogBytes(uint64_t bytes) {
   log_bytes_ = bytes;
 }
 
-Status OperationLog::Open() {
+Status OperationLog::Open(const LogTail* tail) {
   // Recover chain state from an existing log, or start a fresh one.
-  int32_t existing_id = -1;
-  crypto::Mac chain{};
-  uint64_t seq = 0;
-  const Status scanned = ScanLog(options_.path, sealer_, &existing_id, &chain, &seq,
-                                 [](const DecodedRecord&) { return true; });
-  if (scanned.ok()) {
-    counter_id_ = existing_id;
-    chain_mac_ = chain;
-    sequence_ = seq;
-    file_ = std::fopen(options_.path.c_str(), "ab");
-    if (file_ == nullptr) {
-      return Status(Code::kIoError, "cannot append to log");
+  LogTail scanned_tail;
+  if (tail == nullptr) {
+    const Status scanned = ScanLog(options_.path, sealer_, &scanned_tail,
+                                   [](const DecodedRecord&) { return true; });
+    if (scanned.code() == Code::kNotFound) {
+      return Create();
     }
-    std::fseek(file_, 0, SEEK_END);
-    const long size = std::ftell(file_);
-    SetLogBytes(size > 0 ? static_cast<uint64_t>(size) : 0);
-    return Status::Ok();
+    if (!scanned.ok()) {
+      return scanned;  // corrupted log: refuse to continue on top of it
+    }
+    tail = &scanned_tail;
   }
-  if (scanned.code() != Code::kNotFound) {
-    return scanned;  // corrupted log: refuse to continue on top of it
+  std::error_code ec;
+  const uint64_t size = std::filesystem::file_size(options_.path, ec);
+  if (ec || size < tail->bytes) {
+    return Status(Code::kIoError, "log " + options_.path + " shorter than its committed tail");
   }
+  const bool cut = size > tail->bytes;
+  if (cut && ::truncate(options_.path.c_str(), static_cast<off_t>(tail->bytes)) != 0) {
+    return Status(Code::kIoError, "cannot cut log back to its last commit");
+  }
+  file_ = std::fopen(options_.path.c_str(), "ab");
+  if (file_ == nullptr) {
+    return Status(Code::kIoError, "cannot append to log");
+  }
+  // Make the cut durable before any new record can land where the old tail
+  // was: otherwise a crash could leave new bytes beside stale ones.
+  if (cut && fsync(fileno(file_)) != 0) {
+    return Status(Code::kIoError, "cannot flush cut log");
+  }
+  counter_id_ = tail->counter_id;
+  chain_mac_ = tail->chain;
+  sequence_ = tail->sequence;
+  SetLogBytes(tail->bytes);
+  return Status::Ok();
+}
+
+Status OperationLog::Create() {
   Result<uint32_t> id = counters_.CreateCounter();
   if (!id.ok()) {
     return id.status();
@@ -343,17 +369,15 @@ Status OperationLog::Reset() {
 
 Status OperationLog::Replay(const sgx::SealingService& sealer,
                             sgx::MonotonicCounterService& counters, const OpLogOptions& options,
-                            kv::KeyValueStore& store) {
-  int32_t counter_id = -1;
-  crypto::Mac chain{};
-  uint64_t seq = 0;
+                            kv::KeyValueStore& store, LogTail* tail) {
+  LogTail committed;
   // Buffer mutations between commits; only committed groups apply.
   std::vector<DecodedRecord> pending;
   uint64_t last_commit_value = 0;
   bool saw_commit = false;
   Status apply_status = Status::Ok();
   const Status scanned = ScanLog(
-      options.path, sealer, &counter_id, &chain, &seq, [&](const DecodedRecord& record) {
+      options.path, sealer, &committed, [&](const DecodedRecord& record) {
         if (record.op == kOpCommit) {
           if (record.value.size() != 8) {
             apply_status = Status(Code::kIntegrityFailure, "commit record malformed");
@@ -382,13 +406,20 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
     return apply_status;
   }
   // Rollback check: the newest committed group must match the live counter.
-  Result<uint64_t> live = counters.Read(static_cast<uint32_t>(counter_id));
+  const uint32_t counter_id = static_cast<uint32_t>(committed.counter_id);
+  Result<uint64_t> live = counters.Read(counter_id);
   if (!live.ok()) {
     return Status(Code::kRollbackDetected, "log counter missing");
   }
   const uint64_t expected = saw_commit ? last_commit_value : 0;
-  if (live.value() == expected) {
+  const auto verified = [&] {
+    if (tail != nullptr) {
+      *tail = committed;
+    }
     return Status::Ok();
+  };
+  if (live.value() == expected) {
+    return verified();
   }
   if (saw_commit && live.value() + 1 == expected) {
     // The final commit record is durable but its counter bump was lost to a
@@ -396,9 +427,9 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
     // exactly like Snapshotter::Recover's promotable pending pair. A stale
     // log cannot take this path — its commits are all at or below the live
     // counter — and a forged one cannot seal a valid record at all.
-    Result<uint64_t> bumped = counters.Increment(static_cast<uint32_t>(counter_id));
+    Result<uint64_t> bumped = counters.Increment(counter_id);
     if (bumped.ok() && bumped.value() == expected) {
-      return Status::Ok();
+      return verified();
     }
   }
   return Status(Code::kRollbackDetected,

@@ -101,6 +101,16 @@ struct OpLogOptions {
   int shard_index = -1;
 };
 
+// Where a log's committed prefix ends: the state OperationLog::Open needs to
+// continue the chain right after the last commit record. Replay reports it,
+// so a boot that replays a log can open it without reading it again.
+struct LogTail {
+  int32_t counter_id = -1;
+  uint64_t bytes = 0;     // header plus every frame through the last commit
+  crypto::Mac chain{};    // seal tag of the last commit record (zero if none)
+  uint64_t sequence = 0;  // records through the last commit record
+};
+
 class OperationLog {
  public:
   // `sealer` protects record confidentiality/integrity (bound to the
@@ -113,8 +123,13 @@ class OperationLog {
   OperationLog(const OperationLog&) = delete;
   OperationLog& operator=(const OperationLog&) = delete;
 
-  // Opens (creating or appending). Must be called before logging.
-  Status Open();
+  // Opens (creating or appending). Must be called before logging. An
+  // existing log is cut back to its last commit record before anything is
+  // appended: a torn frame or uncommitted records past it would otherwise
+  // sit between the committed prefix and the new records, so a later scan
+  // would fail authentication there or a later commit would adopt them.
+  // `tail` (from Replay) skips the scan that finds the cut.
+  Status Open(const LogTail* tail = nullptr);
 
   // Appends one mutation without any commit side effect. The caller owns
   // the commit cadence (see the leader/follower split above).
@@ -143,12 +158,15 @@ class OperationLog {
   // winning. Fails with kIntegrityFailure on any tampering / reordering /
   // mid-chain truncation, and kRollbackDetected when the final commit's
   // counter value does not match the live counter. A missing or empty log
-  // is kNotFound (callers treat it as "nothing to replay").
+  // is kNotFound (callers treat it as "nothing to replay"). On success
+  // `tail`, when given, receives the committed tail for Open.
   static Status Replay(const sgx::SealingService& sealer,
                        sgx::MonotonicCounterService& counters, const OpLogOptions& options,
-                       kv::KeyValueStore& store);
+                       kv::KeyValueStore& store, LogTail* tail = nullptr);
 
  private:
+  // Creates a fresh log bound to a new monotonic counter.
+  Status Create();
   Status AppendRecord(uint8_t op, std::string_view key, std::string_view value);
   // Moves log_bytes_ and the registry's live-bytes total together.
   void SetLogBytes(uint64_t bytes);

@@ -1,5 +1,6 @@
 #include "src/shieldstore/partitioned.h"
 
+#include "src/common/logging.h"
 #include "src/obs/audit.h"
 
 #include <unistd.h>
@@ -49,37 +50,28 @@ Bytes ArenaAad(uint64_t partition, uint32_t counter_id, uint64_t value) {
   return aad;
 }
 
-// AAD for the sealed route key (persist_dir/route.seal).
+// AAD for the sealed route key (<directory>/route.seal).
 constexpr char kRouteAad[] = "SSRT1";
 
-Result<Bytes> ReadAllBytes(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
+// Replaces `path` with `data` through a temp file, fsync, rename and a
+// directory fsync: a crash leaves the old file or the new one, never a torn
+// mix.
+Status WriteFileAtomic(const std::string& directory, const std::string& name,
+                       const Bytes& data) {
+  const std::string path = directory + "/" + name;
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status(Code::kNotFound, "no file at " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(size > 0 ? static_cast<size_t>(size) : 0);
-  const size_t got = data.empty() ? 0 : std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (got != data.size()) {
-    return Status(Code::kIoError, "short read of " + path);
-  }
-  return data;
-}
-
-Status WriteAllBytes(const std::string& path, const Bytes& data) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status(Code::kIoError, "cannot open " + path);
+    return Status(Code::kIoError, "cannot open " + tmp);
   }
   const size_t put = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
   const bool ok = put == data.size() && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
   std::fclose(f);
-  if (!ok) {
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     return Status(Code::kIoError, "cannot write " + path);
   }
+  FsyncDirectory(directory);
   return Status::Ok();
 }
 
@@ -145,31 +137,37 @@ Options PartitionedStore::PartitionOptions(size_t count) const {
   return per_partition;
 }
 
-Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer) {
-  if (!persist_) {
-    return Status::Ok();
-  }
-  const std::string path = base_options_.persist_dir + "/route.seal";
+Result<bool> PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer,
+                                                    const std::string& directory) {
   const ByteSpan aad(reinterpret_cast<const uint8_t*>(kRouteAad), sizeof(kRouteAad) - 1);
-  Result<Bytes> blob = ReadAllBytes(path);
+  Result<Bytes> blob = ReadWholeFile(directory + "/route.seal");
   if (blob.ok()) {
     Result<Bytes> key = sealer.Unseal(blob.value(), aad);
-    if (!key.ok()) {
-      return key.status();
+    if (key.ok() && key.value().size() == route_key_.size()) {
+      std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
+      return false;
     }
-    if (key.value().size() != route_key_.size()) {
-      return Status(Code::kIntegrityFailure, "sealed route key malformed");
+    const Status unusable =
+        key.ok() ? Status(Code::kIntegrityFailure, "sealed route key malformed") : key.status();
+    if (persist_) {
+      return unusable;  // the heap files' chains were placed under the sealed key
     }
-    std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
-    return Status::Ok();
-  }
-  if (blob.status().code() != Code::kNotFound) {
+    // Snapshot mode re-routes every restored key, so an unusable blob costs
+    // only a rebaseline under a fresh key.
+    SHIELD_LOG(Warning) << "route key in " << directory
+                        << " unusable, drawing a fresh one: " << unusable.ToString();
+  } else if (blob.status().code() != Code::kNotFound) {
     return blob.status();
   }
-  // First boot: persist this process's random route key so later boots route
-  // identically (persisted chains are attached, never re-routed).
+  // Persist this process's random route key so later boots route
+  // identically.
+  std::error_code ec;
+  std::filesystem::create_directories(directory, ec);
   Bytes key(route_key_.begin(), route_key_.end());
-  return WriteAllBytes(path, sealer.Seal(key, aad));
+  if (Status s = WriteFileAtomic(directory, "route.seal", sealer.Seal(key, aad)); !s.ok()) {
+    return s;
+  }
+  return true;
 }
 
 size_t PartitionedStore::PartitionOf(std::string_view key) const {
@@ -395,7 +393,9 @@ Status PartitionedStore::SnapshotPartition(size_t p, const sgx::SealingService& 
 
 Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
                                           sgx::MonotonicCounterService& counters,
-                                          const std::string& directory) {
+                                          const std::string& directory,
+                                          size_t* baseline_partitions) {
+  *baseline_partitions = 0;
   FILE* manifest = std::fopen((directory + "/manifest").c_str(), "r");
   if (manifest == nullptr) {
     return Status::Ok();  // nothing was ever snapshotted here
@@ -408,9 +408,10 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
   }
   // Recover each on-disk partition in the geometry it was snapshotted under,
   // then re-apply its entries through the facade: this run's route key (and
-  // possibly partition count) differ, so every key is re-routed and
+  // possibly partition count) may differ, so every key is re-routed and
   // re-encrypted under its new partition's keys.
   const Options snapshotted = PartitionOptions(recorded);
+  bool complete = true;
   for (size_t i = 0; i < recorded; ++i) {
     const PersistOptions persist{directory + "/p" + std::to_string(i), /*optimized=*/false};
     Result<std::unique_ptr<Store>> restored =
@@ -419,6 +420,7 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
       if (restored.status().code() == Code::kNotFound) {
         // No generation ever committed for this partition (crash before its
         // first snapshot): its operation log holds its full history.
+        complete = false;
         continue;
       }
       return restored.status();
@@ -428,6 +430,9 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
     if (!applied.ok()) {
       return applied;
     }
+  }
+  if (complete) {
+    *baseline_partitions = recorded;
   }
   return Status::Ok();
 }

@@ -102,12 +102,15 @@ class PartitionedStore : public kv::KeyValueStore {
 
   // Boot-time restore: recovers every partition snapshot generation under
   // `directory` (in the geometry its manifest records, which need not match
-  // ours — the route key is drawn fresh per process) and re-applies each
+  // ours, under a route key that may have changed) and re-applies each
   // entry through the facade, re-routing and re-encrypting it. No manifest
   // means nothing to restore (Ok); a partition directory whose snapshot
   // never committed is skipped (its operation log holds its full history).
+  // `baseline_partitions` receives the manifest's partition count when
+  // every one of its partitions restored a generation, else 0.
   Status RestoreSnapshots(const sgx::SealingService& sealer,
-                          sgx::MonotonicCounterService& counters, const std::string& directory);
+                          sgx::MonotonicCounterService& counters, const std::string& directory,
+                          size_t* baseline_partitions);
 
   // Rebuilds partition `p` from its latest snapshot generation under
   // `directory`, then — when `oplog` is given — replays the committed
@@ -130,13 +133,18 @@ class PartitionedStore : public kv::KeyValueStore {
   // replica-bootstrap plumbing.
   alloc::PersistentArena* partition_arena(size_t p) { return arenas_[p].get(); }
 
-  // Keys must route identically across restarts in persist mode (chains are
-  // rebuilt from the per-partition files, not re-routed). The route key is
-  // sealed into `persist_dir/route.seal` on first boot and re-loaded before
-  // any attach or replay; tampering with the blob fails typed. Boot-time
-  // only: it rewrites the route key without a lock, so it must run before
-  // the store serves any operation.
-  Status LoadOrCreateRouteKey(const sgx::SealingService& sealer);
+  // Keys route identically across restarts: in persist mode the chains are
+  // rebuilt from the per-partition files, not re-routed; in snapshot mode a
+  // key's records from two boots must land in the same shard log. The route
+  // key is sealed into `directory/route.seal` (written atomically) on first
+  // boot and re-loaded before any attach or replay. Returns true when the
+  // key was created on this boot. A blob that does not unseal fails typed in
+  // persist mode; snapshot mode replaces it with a fresh key (restore
+  // re-routes every key, so that costs only a rebaseline). Boot-time only:
+  // it rewrites the route key without a lock, so it must run before the
+  // store serves any operation.
+  Result<bool> LoadOrCreateRouteKey(const sgx::SealingService& sealer,
+                                    const std::string& directory);
 
   // Arena checkpoint of one/all partitions: seals the secure metadata bound
   // to (partition, counter, value+1), runs the arena's plan/commit protocol,

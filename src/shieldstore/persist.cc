@@ -86,31 +86,6 @@ Status WriteDurableFile(const std::string& path,
   return Status::Ok();
 }
 
-void FsyncDirectory(const std::string& dir) {
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    (void)fsync(fd);
-    close(fd);
-  }
-}
-
-Result<Bytes> ReadWholeFile(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status(Code::kNotFound, "no snapshot at " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(size > 0 ? static_cast<size_t>(size) : 0);
-  const size_t got = data.empty() ? 0 : std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (got != data.size()) {
-    return Status(Code::kIoError, "short read of " + path);
-  }
-  return data;
-}
-
 struct FooteredFile {
   Bytes content;                 // footer stripped
   crypto::Sha256Digest digest;   // verified hash of `content`
@@ -506,6 +481,31 @@ Result<std::unique_ptr<Store>> Snapshotter::Recover(sgx::Enclave& enclave,
     return first_error;
   }
   return Status(Code::kNotFound, "no snapshot at " + persist.directory);
+}
+
+void FsyncDirectory(const std::string& dir) {
+  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd >= 0) {
+    (void)fsync(fd);
+    close(fd);
+  }
+}
+
+Result<Bytes> ReadWholeFile(const std::string& path) {
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status(Code::kNotFound, "no file at " + path);
+  }
+  std::fseek(f, 0, SEEK_END);
+  const long size = std::ftell(f);
+  std::fseek(f, 0, SEEK_SET);
+  Bytes data(size > 0 ? static_cast<size_t>(size) : 0);
+  const size_t got = data.empty() ? 0 : std::fread(data.data(), 1, data.size(), f);
+  std::fclose(f);
+  if (got != data.size()) {
+    return Status(Code::kIoError, "short read of " + path);
+  }
+  return data;
 }
 
 }  // namespace shield::shieldstore

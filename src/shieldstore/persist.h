@@ -117,6 +117,11 @@ class Snapshotter {
   Status writer_status_;
 };
 
+// Whole-file read; kNotFound when `path` does not exist.
+Result<Bytes> ReadWholeFile(const std::string& path);
+// Best-effort fsync of a directory, making a rename inside it durable.
+void FsyncDirectory(const std::string& dir);
+
 }  // namespace shield::shieldstore
 
 #endif  // SHIELDSTORE_SRC_SHIELDSTORE_PERSIST_H_

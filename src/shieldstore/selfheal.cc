@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "src/common/logging.h"
@@ -74,7 +75,9 @@ Status WriteAheadStore::Open() {
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-    if (Status st = s.log->Open(); !st.ok()) {
+    const Status st = s.log->Open(s.replayed ? &*s.replayed : nullptr);
+    s.replayed.reset();
+    if (!st.ok()) {
       return st;
     }
     s.appended = s.durable = 0;
@@ -525,65 +528,61 @@ std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
 
 Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   const auto restore_start = std::chrono::steady_clock::now();
-  // heap.restart_ns records the whole baseline-plus-tail restore (the number
-  // the persistent heap exists to shrink); set only on success.
-  const auto finish = [&](Status st) {
-    if (st.ok()) {
-      metrics_->GetGauge("heap.restart_ns")
-          .Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now() - restore_start)
-                   .count());
-    }
-    return st;
-  };
+  logs_continued_ = false;
+  // Phase 0: the sealed route key, loaded FIRST in both modes. In persist
+  // mode the files' chain placement was routed under it; in snapshot mode
+  // the shard logs were, so continuing them needs the same key.
+  const std::string& route_dir =
+      inner_.persist_enabled() ? inner_.persist_dir() : snapshot_directory;
+  Result<bool> route_created = inner_.LoadOrCreateRouteKey(sealer_, route_dir);
+  if (!route_created.ok()) {
+    return route_created.status();
+  }
+  size_t baseline_partitions = 0;
   if (inner_.persist_enabled()) {
-    // Phase 1, persist mode: attach the mmap'd heap files. The sealed route
-    // key must load FIRST — the files' chain placement was routed under it,
-    // so a fresh per-boot key would misroute every replayed record. Attach
-    // is O(1) in entry count (superblock + sealed metadata, no entry
-    // decrypt); per-entry MACs re-verify lazily on first touch.
-    if (Status st = inner_.LoadOrCreateRouteKey(sealer_); !st.ok()) {
-      return st;
-    }
+    // Phase 1, persist mode: attach the mmap'd heap files. Attach is O(1) in
+    // entry count (superblock + sealed metadata, no entry decrypt);
+    // per-entry MACs re-verify lazily on first touch.
     if (Status st = inner_.AttachPersistent(sealer_, counters_); !st.ok()) {
       return st;
     }
-  } else if (Status st = inner_.RestoreSnapshots(sealer_, counters_, snapshot_directory);
+  } else if (Status st = inner_.RestoreSnapshots(sealer_, counters_, snapshot_directory,
+                                                 &baseline_partitions);
              !st.ok()) {
     // Phase 1: every partition snapshot under the manifest's geometry,
-    // applied through the facade (this boot's route key differs from the
-    // snapshots').
+    // applied through the facade.
     return st;
   }
   // Phase 2: the committed suffix of every log on disk, straight to the
   // inner store (not re-logged). Each partition's snapshot precedes its log
   // records because phase 1 ran first; logs never cross partitions, so any
   // inter-log order converges. kNotFound = empty/fresh log, nothing to do.
+  // Each replay also reports its log's committed tail, which Open() uses
+  // instead of reading the log a second time.
   const std::vector<OpLogOptions> logs = ShardLogsOnDisk();
-  const auto replay_one = [&](const OpLogOptions& log) {
-    Status st = OperationLog::Replay(sealer_, counters_, log, inner_);
-    if (!st.ok() && st.code() != Code::kNotFound) {
-      return Status(st.code(), "replaying " + log.path + ": " + st.message());
+  const bool before_open = shards_.front()->log == nullptr;
+  std::vector<std::optional<LogTail>> tails(logs.size());
+  const auto replay_one = [&](size_t i) {
+    LogTail tail;
+    Status st = OperationLog::Replay(sealer_, counters_, logs[i], inner_, &tail);
+    if (st.ok()) {
+      tails[i] = tail;
+    } else if (st.code() != Code::kNotFound) {
+      return Status(st.code(), "replaying " + logs[i].path + ": " + st.message());
     }
     return Status::Ok();
   };
-  // Shard logs of one epoch hold disjoint key sets, and cross-epoch
-  // leftovers converge (each log's last record per key is that key's final
-  // state) — so they can replay concurrently: the facade's partition locks
-  // serialize same-key application, and differently-keyed records commute.
+  // Shard logs hold disjoint key sets — every record of a key went to its
+  // partition's shard under one route key and geometry, whichever boot
+  // wrote it — and cross-epoch leftovers converge (each log's last record
+  // per key is that key's final state). So they can replay concurrently:
+  // the facade's partition locks serialize same-key application, and
+  // differently-keyed records commute.
   size_t threads =
       options_.replay_threads == 0
           ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
           : options_.replay_threads;
   threads = std::min(std::max<size_t>(threads, 1), logs.size());
-  if (threads <= 1) {
-    for (const OpLogOptions& log : logs) {
-      if (Status st = replay_one(log); !st.ok()) {
-        return st;
-      }
-    }
-    return finish(Status::Ok());
-  }
   std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;
@@ -596,7 +595,7 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
         if (i >= logs.size()) {
           return;
         }
-        if (Status st = replay_one(logs[i]); !st.ok()) {
+        if (Status st = replay_one(i); !st.ok()) {
           std::lock_guard<std::mutex> guard(error_mutex);
           if (first_error.ok()) {
             first_error = st;
@@ -608,7 +607,28 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   for (std::thread& t : pool) {
     t.join();
   }
-  return finish(first_error);
+  if (!first_error.ok()) {
+    return first_error;
+  }
+  if (before_open) {
+    for (size_t i = 0; i < std::min(logs.size(), shards_.size()); ++i) {
+      shards_[i]->replayed = tails[i];
+    }
+  }
+  // The logs continue (SelfHealer::Start() skips the rebaseline) only when
+  // they can take this boot's records without breaking per-key order: same
+  // route key, same partition count as a complete baseline, one file per
+  // current shard. Persist mode always checkpoints at Start().
+  logs_continued_ = before_open && !inner_.persist_enabled() && !route_created.value() &&
+                    baseline_partitions == inner_.num_partitions() &&
+                    logs.size() == shards_.size();
+  // heap.restart_ns records the whole baseline-plus-tail restore (the number
+  // the persistent heap exists to shrink); set only on success.
+  metrics_->GetGauge("heap.restart_ns")
+      .Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - restore_start)
+               .count());
+  return Status::Ok();
 }
 
 uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) {
@@ -687,6 +707,11 @@ Status SelfHealer::Start() {
       return st;
     }
     return wal_.ResetAllLogs();
+  }
+  if (wal_.logs_continued()) {
+    // Restore proved the snapshots plus the committed logs are this boot's
+    // baseline already; compaction folds the logs later, as in steady state.
+    return Status::Ok();
   }
   if (Status st = wal_.inner().SnapshotAll(sealer_, counters_, options_.directory); !st.ok()) {
     return st;

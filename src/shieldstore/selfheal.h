@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +52,10 @@ class WriteAheadStore : public kv::KeyValueStore {
   WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
 
-  // Opens (or reopens) every shard log. Must succeed before serving
-  // mutations. Shard i lives at options.path + ".p<i>".
+  // Opens (or reopens) every shard log, each cut back to its last commit.
+  // Must succeed before serving mutations. Shard i lives at options.path +
+  // ".p<i>". After RestoreFromDisk it reuses the committed tails the replay
+  // found instead of reading the logs again.
   Status Open();
 
   // The four mutations are batches of one through ExecuteBatch.
@@ -112,12 +115,14 @@ class WriteAheadStore : public kv::KeyValueStore {
   Status ResetAllLogs();
 
   // Route-agnostic restore of a previous run's durable state into the
-  // (empty) inner store: every partition snapshot generation under
-  // `snapshot_directory` (the SnapshotAll layout of ANY geometry — the
-  // route key is drawn fresh each boot, so keys are re-routed through the
-  // facade), then the committed suffix of every shard log found on disk.
-  // Call after Open() and before serving; follow with SelfHealer::Start()
-  // (or ResetAllLogs()) so the restored state becomes the new baseline.
+  // (empty) inner store. It first loads (or, on first boot, creates) the
+  // route key sealed in `snapshot_directory`, then applies every partition
+  // snapshot generation there (the SnapshotAll layout of ANY geometry; keys
+  // are re-routed through the facade), then the committed suffix of every
+  // shard log found on disk. Call before Open() and before serving, then
+  // SelfHealer::Start(): each log is read once, and when logs_continued()
+  // the logs take this boot's records after their last commit. Called after
+  // Open(), it still restores, but Start() rebaselines.
   //
   // With Options::persist_dir the baseline is the mmap'd heap files, not
   // snapshots: the sealed route key is loaded (so routing matches the files'
@@ -125,6 +130,14 @@ class WriteAheadStore : public kv::KeyValueStore {
   // — O(1) in entry count, per-entry MAC verification deferred to first
   // touch — and only the WAL tail replays. Sets the heap.restart_ns gauge.
   Status RestoreFromDisk(const std::string& snapshot_directory);
+  // True when the last RestoreFromDisk found logs that this boot can append
+  // to: it ran before Open(), in snapshot mode, the route key was loaded
+  // (not created), the manifest's partition count matches and every
+  // partition has a generation, and one log file exists per current shard.
+  // Otherwise a key's records could land in a different shard log than its
+  // older ones, and a parallel replay could apply them out of order, so the
+  // boot must rebaseline.
+  bool logs_continued() const { return logs_continued_; }
 
   // Copies the committed persistent-heap files (p<i>.heap + route.seal) into
   // `destination_dir`, checkpointing every partition first under the full
@@ -163,6 +176,7 @@ class WriteAheadStore : public kv::KeyValueStore {
     explicit Shard(OpLogOptions opts) : options(std::move(opts)) {}
     OpLogOptions options;  // options.path is this shard's file
     std::unique_ptr<OperationLog> log;
+    std::optional<LogTail> replayed;  // RestoreFromDisk's tail for Open()
     size_t index = 0;  // position in shards_ (shipped to the sink as-is)
     // Adaptive group-commit window (microseconds). Starts at the configured
     // cap (options.group_commit_window_us); each leader halves it after a
@@ -214,6 +228,7 @@ class WriteAheadStore : public kv::KeyValueStore {
   sgx::MonotonicCounterService& counters_;
   OpLogOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  bool logs_continued_ = false;  // see logs_continued()
   std::atomic<ReplicationSink*> sink_{nullptr};
 
   // Metric handles cached at construction (see OpLogOptions::metrics).
@@ -263,9 +278,13 @@ class SelfHealer {
   // logs) into the inner store. Call before Start(), on an empty store.
   Status Restore();
 
-  // Writes the baseline snapshot of every (healthy) partition and truncates
-  // the shard logs it subsumes. Call once, before traffic; recovery = this
-  // baseline + each shard's log from then on.
+  // Makes the restored state the recovery baseline. Call once, before
+  // traffic; recovery = the baseline + each shard's log from then on. When
+  // the WAL's logs_continued(), the snapshots plus the committed logs are
+  // that baseline already and nothing is written. Otherwise (first boot, a
+  // geometry or route-key change, a restore after Open()) it writes a
+  // snapshot of every (healthy) partition and truncates the shard logs it
+  // subsumes. Persist mode always checkpoints every arena and truncates.
   Status Start();
 
   // One maintenance step: recover at most one quarantined partition, else

@@ -25,6 +25,7 @@
 #include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
 #include "src/sgx/epc.h"
+#include "src/sgx/seal.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -589,6 +590,37 @@ TEST_F(ConcurrencyTest, EpcTouchCountIsExactAcrossThreads) {
   EXPECT_EQ(stats.resident_pages, 16u);
   epc.ResetStats();
   EXPECT_EQ(epc.stats().touches, 0u);
+}
+
+// One SealingService shared by several threads (as the WAL shards share
+// theirs): each thread draws IVs from its own DRBG, and no two blobs may
+// ever carry the same IV under the one key.
+TEST_F(ConcurrencyTest, SealIvsAreDistinctAcrossThreads) {
+  const sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
+  constexpr int kThreads = 4;
+  constexpr int kSealsPerThread = 10'000;
+  std::vector<std::vector<std::string>> ivs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const Bytes plain = ToBytes("record-" + std::to_string(t));
+      for (int i = 0; i < kSealsPerThread; ++i) {
+        const Bytes blob = sealer.Seal(plain, AsBytes("aad"));
+        ivs[t].emplace_back(reinterpret_cast<const char*>(blob.data()), 16);
+        if (i == 0) {
+          EXPECT_TRUE(sealer.Unseal(blob, AsBytes("aad")).ok());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  std::set<std::string> distinct;
+  for (const auto& per_thread : ivs) {
+    distinct.insert(per_thread.begin(), per_thread.end());
+  }
+  EXPECT_EQ(distinct.size(), size_t{kThreads} * kSealsPerThread);
 }
 
 // Metrics recorders race snapshot readers (run under TSan by check.sh):

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 
 #include "src/common/bytes.h"
@@ -313,6 +314,23 @@ TEST(DrbgTest, SurvivesRekeyBoundary) {
   a.Fill(big);
   // No assertion beyond "did not crash and produced non-constant output".
   EXPECT_NE(big.front(), big.back());
+}
+
+TEST(DrbgTest, RekeyEmitsNoRepeatedOrZeroBlocks) {
+  // Every 1024 blocks half a block becomes the next key and is erased; the
+  // stream must only ever carry the other half (a zeroed or repeated 16-byte
+  // chunk would repeat a sealing IV).
+  Drbg a(AsBytes("rekey"));
+  Bytes big(1 << 17);  // two rekeys
+  a.Fill(big);
+  std::set<std::string> chunks;
+  const std::string zero(16, '\0');
+  for (size_t i = 0; i < big.size(); i += 16) {
+    const std::string chunk(reinterpret_cast<const char*>(big.data() + i), 16);
+    EXPECT_NE(chunk, zero) << "zero chunk at byte " << i;
+    chunks.insert(chunk);
+  }
+  EXPECT_EQ(chunks.size(), big.size() / 16);
 }
 
 // ---------------------------------------------------------------- X25519

@@ -1,11 +1,13 @@
 // Sharded write-ahead log: shard routing, durable group-commit acks,
-// bounded-log compaction (including its injected-crash matrix), stats, and
-// route- and geometry-agnostic restore.
+// bounded-log compaction (including its injected-crash matrix), stats,
+// route- and geometry-agnostic restore, and restarts that continue the
+// committed logs.
 //
 // Restart simulation: build a SECOND stack over the same directory (same
-// counter backing file, fresh enclave-drawn route key) and RestoreFromDisk —
-// exactly what the daemon does at boot. Acked-write checks always go through
-// that restored copy, never the live store's memory.
+// counter backing file, a differently seeded enclave) and RestoreFromDisk,
+// as the daemon does at boot; Boot() runs the daemon's whole boot order.
+// Acked-write checks always go through that restored copy, never the live
+// store's memory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "src/faultinject/tamper.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
 #include "src/shieldstore/partitioned.h"
@@ -74,21 +77,11 @@ class WalShardingTest : public ::testing::Test {
   }
   std::string SnapshotDir() const { return dir_ + "/snapshots"; }
 
-  // Boots a fresh stack over this test's directory (a different enclave, so
-  // a different route key — restore must be route-agnostic) and restores the
-  // durable state, as the daemon does after a crash.
-  std::map<std::string, std::string> RestartAndDump(size_t partitions,
-                                                    const OpLogOptions& log_opts) {
-    sgx::Enclave enclave2(TestEnclaveConfig("wal-sharding-b"));
-    sgx::SealingService sealer2(AsBytes("fuse"), enclave2.measurement());
-    PartitionedStore store2(enclave2, SmallOptions(), partitions);
-    WriteAheadStore wal2(store2, *sealer_, *counters_, log_opts);
-    EXPECT_TRUE(wal2.Open().ok());
-    const Status restored = wal2.RestoreFromDisk(SnapshotDir());
-    EXPECT_TRUE(restored.ok()) << restored.ToString();
+  // Every key/value the store holds, read partition by partition.
+  static std::map<std::string, std::string> Dump(PartitionedStore& store) {
     std::map<std::string, std::string> dump;
-    for (size_t p = 0; p < store2.num_partitions(); ++p) {
-      const Status walk = store2.partition(p).ForEachDecrypted(
+    for (size_t p = 0; p < store.num_partitions(); ++p) {
+      const Status walk = store.partition(p).ForEachDecrypted(
           [&](std::string_view key, std::string_view value) {
             dump[std::string(key)] = std::string(value);
             return Status::Ok();
@@ -96,6 +89,55 @@ class WalShardingTest : public ::testing::Test {
       EXPECT_TRUE(walk.ok()) << walk.ToString();
     }
     return dump;
+  }
+
+  // Boots a fresh stack over this test's directory (a different enclave, so
+  // a different route key — restore must be route-agnostic) and restores the
+  // durable state, as the daemon does after a crash.
+  std::map<std::string, std::string> RestartAndDump(size_t partitions,
+                                                    const OpLogOptions& log_opts) {
+    sgx::Enclave enclave2(TestEnclaveConfig("wal-sharding-b"));
+    PartitionedStore store2(enclave2, SmallOptions(), partitions);
+    WriteAheadStore wal2(store2, *sealer_, *counters_, log_opts);
+    EXPECT_TRUE(wal2.Open().ok());
+    const Status restored = wal2.RestoreFromDisk(SnapshotDir());
+    EXPECT_TRUE(restored.ok()) << restored.ToString();
+    return Dump(store2);
+  }
+
+  // One process lifetime over this test's directory, booted in the daemon's
+  // order: RestoreFromDisk, Open, SelfHealer::Start. Destroying it is the
+  // kill: every acked write is already fsync'd.
+  struct Stack {
+    std::unique_ptr<sgx::Enclave> enclave;
+    std::unique_ptr<PartitionedStore> store;
+    std::unique_ptr<WriteAheadStore> wal;
+    std::unique_ptr<SelfHealer> healer;
+    Status booted;
+  };
+  // `seed` seeds the enclave that draws this process's route key, so a boot
+  // that ignored the sealed key would route keys differently than the last.
+  // Replay is sequential: the order in which logs apply is deterministic.
+  Stack Boot(const std::string& seed, size_t partitions, size_t wal_shards = 0) {
+    Stack s;
+    s.enclave = std::make_unique<sgx::Enclave>(TestEnclaveConfig(seed.c_str()));
+    s.store = std::make_unique<PartitionedStore>(*s.enclave, SmallOptions(), partitions);
+    OpLogOptions log_opts = LogOptions();
+    log_opts.num_shards = wal_shards;
+    log_opts.replay_threads = 1;
+    s.wal = std::make_unique<WriteAheadStore>(*s.store, *sealer_, *counters_, log_opts);
+    SelfHealOptions heal_opts;
+    heal_opts.directory = SnapshotDir();
+    heal_opts.scrub = false;
+    s.healer = std::make_unique<SelfHealer>(*s.wal, *sealer_, *counters_, heal_opts);
+    s.booted = s.healer->Restore();
+    if (s.booted.ok()) {
+      s.booted = s.wal->Open();
+    }
+    if (s.booted.ok()) {
+      s.booted = s.healer->Start();
+    }
+    return s;
   }
 
   sgx::Enclave enclave_;
@@ -403,6 +445,234 @@ TEST_F(WalShardingTest, RestoreIsRouteAndGeometryAgnostic) {
     }
   }
   EXPECT_EQ(RestartAndDump(2, LogOptions()), acked);
+
+  // Daemon-ordered boots over the same directory. Every boot whose logs
+  // cannot take its records in per-key order rebaselines (snapshot + fresh
+  // logs) and keeps every acked write: a partition-count change, a shard-
+  // count change, and a missing or unusable sealed route key.
+  const std::string route_seal = SnapshotDir() + "/route.seal";
+  struct Step {
+    const char* what;
+    size_t partitions;
+    size_t wal_shards;
+    bool continued;
+  };
+  const Step steps[] = {
+      {"4 -> 2 partitions", 2, 0, false},  {"restart", 2, 0, true},
+      {"2 -> 1 WAL shards", 2, 1, false},  {"2 -> 3 partitions", 3, 1, false},
+      {"route.seal missing", 3, 1, false}, {"route.seal corrupt", 3, 1, false},
+      {"restart", 3, 1, true},
+  };
+  int boot = 0;
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.what);
+    if (std::string(step.what) == "route.seal missing") {
+      ASSERT_TRUE(std::filesystem::remove(route_seal));
+    } else if (std::string(step.what) == "route.seal corrupt") {
+      FILE* f = std::fopen(route_seal.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, 30, SEEK_SET);
+      const int c = std::fgetc(f);
+      std::fseek(f, 30, SEEK_SET);
+      std::fputc(c ^ 0x01, f);
+      std::fclose(f);
+    }
+    Stack s = Boot("geometry-boot-" + std::to_string(boot++), step.partitions, step.wal_shards);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_EQ(s.wal->logs_continued(), step.continued);
+    EXPECT_EQ(Dump(*s.store), acked);
+    if (!step.continued) {
+      for (size_t sh = 0; sh < s.wal->num_shards(); ++sh) {
+        EXPECT_LE(s.wal->ShardLogBytes(sh), 8u + 512u) << "rebaseline resets shard " << sh;
+      }
+      EXPECT_FALSE(std::filesystem::exists(LogOptions().path + ".p" +
+                                           std::to_string(s.wal->num_shards())))
+          << "shard files beyond the current count are subsumed";
+    }
+    for (int i = 0; i < 12; ++i) {
+      const std::string key = "geo-" + std::to_string((boot * 7 + i) % 50);
+      const std::string value = "boot" + std::to_string(boot) + "-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(key, value).ok());
+      acked[key] = value;
+    }
+    const std::string doomed = "geo-" + std::to_string(boot * 3 % 50);
+    if (acked.count(doomed) != 0) {
+      ASSERT_TRUE(s.wal->Delete(doomed).ok());
+      acked.erase(doomed);
+    }
+  }
+  Stack last = Boot("geometry-boot-final", 3, 1);
+  ASSERT_TRUE(last.booted.ok()) << last.booted.ToString();
+  EXPECT_TRUE(last.wal->logs_continued());
+  EXPECT_EQ(Dump(*last.store), acked);
+}
+
+// Three boots with overwrites and deletes between them: the second and
+// third continue the first boot's logs, and every acked value and delete
+// survives. Records of one key from different boots must land in the same
+// shard log (one sealed route key), or the sequential replay below would
+// apply a newer shard-0 record before an older shard-1 one.
+TEST_F(WalShardingTest, RestartsContinueLogsAndKeepEveryAckedWriteAndDelete) {
+  std::map<std::string, std::string> acked;
+  for (int boot = 0; boot < 3; ++boot) {
+    SCOPED_TRACE("boot " + std::to_string(boot));
+    Stack s = Boot("three-boots-" + std::to_string(boot), 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_EQ(s.wal->logs_continued(), boot > 0) << "only the first boot rebaselines";
+    EXPECT_EQ(Dump(*s.store), acked);
+    for (int i = 0; i < 64; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      if (boot > 0 && i % 5 == boot) {
+        ASSERT_TRUE(s.wal->Delete(key).ok());
+        acked.erase(key);
+        continue;
+      }
+      const std::string value = "boot" + std::to_string(boot) + "-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(key, value).ok());
+      acked[key] = value;
+    }
+  }
+  Stack last = Boot("three-boots-final", 2);
+  ASSERT_TRUE(last.booted.ok()) << last.booted.ToString();
+  EXPECT_EQ(Dump(*last.store), acked);
+}
+
+// A crash can leave records past a shard log's last commit: whole frames
+// that were never committed, then a torn frame. The next boot must cut the
+// log back to that commit before appending, or its records would follow
+// bytes that the replay either cannot authenticate past or would adopt
+// under the next commit.
+TEST_F(WalShardingTest, RestartCutsTornAndUncommittedTailsBeforeAppending) {
+  std::map<std::string, std::string> acked;
+  {
+    Stack s = Boot("tails-0", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(s.wal->Set("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+      acked["k" + std::to_string(i)] = "v" + std::to_string(i);
+    }
+  }
+  // Shard 0: three uncommitted records, then a torn frame. Written through
+  // a standalone log whose commit record is cut off again, so the counter
+  // never learns of it: exactly a crash between append and commit.
+  const std::string shard0 = LogOptions().path + ".p0";
+  const std::string shard1 = LogOptions().path + ".p1";
+  const uint64_t committed0 = std::filesystem::file_size(shard0);
+  const uint64_t committed1 = std::filesystem::file_size(shard1);
+  {
+    OpLogOptions raw = LogOptions();
+    raw.path = shard0;
+    OperationLog log(*sealer_, *counters_, raw);
+    ASSERT_TRUE(log.Open().ok());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(log.AppendSet("ghost-" + std::to_string(i), std::string(300, 'g')).ok());
+    }
+    const uint64_t uncommitted_end = log.log_bytes();
+    ASSERT_TRUE(log.CommitPrepare().ok());  // flushes the records; no counter bump
+    std::filesystem::resize_file(shard0, uncommitted_end);
+  }
+  const auto append_torn_frame = [](const std::string& path) {
+    FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    const uint8_t torn[] = {200, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    std::fwrite(torn, 1, sizeof(torn), f);
+    std::fclose(f);
+  };
+  append_torn_frame(shard0);
+  append_torn_frame(shard1);
+  ASSERT_GT(std::filesystem::file_size(shard0), committed0 + 900);
+
+  for (int boot = 1; boot <= 2; ++boot) {
+    SCOPED_TRACE("boot " + std::to_string(boot));
+    Stack s = Boot("tails-" + std::to_string(boot), 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_TRUE(s.wal->logs_continued());
+    EXPECT_EQ(Dump(*s.store), acked) << "no uncommitted record may ever apply";
+    if (boot == 1) {
+      EXPECT_EQ(s.wal->ShardLogBytes(0), committed0) << "cut back to the last commit";
+      EXPECT_EQ(s.wal->ShardLogBytes(1), committed1) << "cut back to the last commit";
+      EXPECT_EQ(std::filesystem::file_size(shard0), committed0);
+    }
+    for (int i = 0; i < 32; i += 2) {
+      const std::string key = "k" + std::to_string(i);
+      const std::string value = "boot" + std::to_string(boot) + "-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(key, value).ok());
+      acked[key] = value;
+    }
+    if (boot == 1) {
+      ASSERT_TRUE(s.wal->Delete("k1").ok());
+      acked.erase("k1");
+    }
+  }
+  Stack last = Boot("tails-final", 2);
+  ASSERT_TRUE(last.booted.ok()) << last.booted.ToString();
+  EXPECT_EQ(Dump(*last.store), acked);
+}
+
+// Self-heal after a restart that continued the logs: the partition rebuilds
+// from its generation (written by the first boot) plus the shard log that
+// now spans both boots.
+TEST_F(WalShardingTest, TamperAfterContinuedRestartHealsWithNoAckedLoss) {
+  std::map<std::string, std::string> acked;
+  {
+    Stack s = Boot("heal-0", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(s.wal->Set("k" + std::to_string(i), "first").ok());
+      acked["k" + std::to_string(i)] = "first";
+    }
+  }
+  Stack s = Boot("heal-1", 2);
+  ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+  ASSERT_TRUE(s.wal->logs_continued());
+  for (int i = 0; i < 40; i += 3) {
+    ASSERT_TRUE(s.wal->Set("k" + std::to_string(i), "second").ok());
+    acked["k" + std::to_string(i)] = "second";
+  }
+  ASSERT_TRUE(s.wal->Delete("k1").ok());
+  acked.erase("k1");
+
+  faultinject::TamperAgent agent(7);
+  ASSERT_TRUE(agent.TamperPartition(*s.store, 0, faultinject::TamperMode::kBitFlipCiphertext)
+                  .ok());
+  EXPECT_FALSE(s.store->ScrubAll().ok());
+  ASSERT_TRUE(s.store->IsQuarantined(0));
+  s.healer->Tick();
+  ASSERT_FALSE(s.store->IsQuarantined(0)) << s.healer->last_error().ToString();
+  EXPECT_EQ(s.healer->recoveries(), 1u);
+  for (const auto& [key, value] : acked) {
+    const Result<std::string> got = s.wal->Get(key);
+    ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+    EXPECT_EQ(got.value(), value) << key;
+  }
+  EXPECT_EQ(s.wal->Get("k1").status().code(), Code::kNotFound);
+}
+
+// A continued log is still rollback-protected: putting back a shard log's
+// copy from before the restart fails the next boot.
+TEST_F(WalShardingTest, SwappedInPreRestartShardLogFailsBootWithRollback) {
+  const std::string shard0 = LogOptions().path + ".p0";
+  {
+    Stack s = Boot("swap-0", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(s.wal->Set("k" + std::to_string(i), "first").ok());
+    }
+  }
+  std::filesystem::copy_file(shard0, dir_ + "/stale.p0");
+  {
+    Stack s = Boot("swap-1", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    ASSERT_TRUE(s.wal->logs_continued());
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(s.wal->Set("k" + std::to_string(i), "second").ok());
+    }
+    ASSERT_GT(s.wal->ShardLogBytes(0), std::filesystem::file_size(dir_ + "/stale.p0"));
+  }
+  std::filesystem::copy_file(dir_ + "/stale.p0", shard0,
+                             std::filesystem::copy_options::overwrite_existing);
+  Stack s = Boot("swap-2", 2);
+  EXPECT_EQ(s.booted.code(), Code::kRollbackDetected) << s.booted.ToString();
 }
 
 TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {

@@ -7,9 +7,9 @@
 //       --hotcalls --authority-seed my-deployment
 //
 // With --heal-dir the daemon becomes self-healing: every acknowledged
-// mutation is write-ahead logged, a baseline snapshot is written at startup,
-// a paced background scrub audits the table, and a partition that fails an
-// integrity check is quarantined and rebuilt online (snapshot + committed
+// mutation is write-ahead logged, a baseline snapshot is written on first
+// boot (a restart continues the committed logs), a paced background scrub
+// audits the table, and a partition that fails an integrity check is quarantined and rebuilt online (snapshot + committed
 // log) while the rest of the store keeps serving. Without it the daemon
 // serves volatile data, optionally still scrubbed in the background.
 //
@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -275,27 +276,29 @@ int main(int argc, char** argv) {
     log_opts.group_commit_window_us = flags.wal_window_us;
     log_opts.group_commit_ops = std::max<size_t>(flags.wal_group_ops, 1);
     wal = std::make_unique<shieldstore::WriteAheadStore>(store, *sealer, *counters, log_opts);
-    if (Status s = wal->Open(); !s.ok()) {
-      std::fprintf(stderr, "oplog open failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
     shieldstore::SelfHealOptions heal_opts;
     heal_opts.directory = flags.heal_dir + "/snapshots";
     heal_opts.scrub = flags.scrub_interval_ms > 0;
     heal_opts.compact_log_bytes = flags.wal_compact_bytes;
     healer = std::make_unique<shieldstore::SelfHealer>(*wal, *sealer, *counters, heal_opts);
-    // Restore the previous run's durable state (baseline snapshots + the
-    // committed suffix of every shard log) into the empty store before
-    // Start() rebaselines it. Replayed ops go straight to the inner store so
-    // they are not re-logged.
-    const auto restore_start = std::chrono::steady_clock::now();
+    // Boot: restore the previous run's durable state (baseline snapshots +
+    // the committed suffix of every shard log) into the empty store, open
+    // the logs at the committed tails that replay found, then Start():
+    // a restart whose logs can continue skips the rebaseline, a first boot
+    // or a geometry/route-key change writes one. Replayed ops go straight to
+    // the inner store so they are not re-logged.
+    auto phase_start = std::chrono::steady_clock::now();
+    const auto lap_ms = [&phase_start] {  // milliseconds since the last lap
+      const auto now = std::chrono::steady_clock::now();
+      const double ms = std::chrono::duration<double, std::milli>(now - phase_start).count();
+      phase_start = now;
+      return ms;
+    };
     if (Status s = healer->Restore(); !s.ok()) {
       std::fprintf(stderr, "restore failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    const auto restore_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - restore_start)
-                                .count();
+    const double restore_ms = lap_ms();
     if (store.Size() > 0) {
       std::printf("self-healing: restored %zu keys from %s\n", store.Size(),
                   flags.heal_dir.c_str());
@@ -303,13 +306,20 @@ int main(int argc, char** argv) {
     if (store.persist_enabled()) {
       std::printf("persistent heap: attached %zu keys from %s in %.2f ms "
                   "(entry MACs re-verify lazily)\n",
-                  store.Size(), flags.persist_heap.c_str(),
-                  static_cast<double>(restore_ns) / 1e6);
+                  store.Size(), flags.persist_heap.c_str(), restore_ms);
     }
+    if (Status s = wal->Open(); !s.ok()) {
+      std::fprintf(stderr, "oplog open failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    const double open_ms = lap_ms();
     if (Status s = healer->Start(); !s.ok()) {
       std::fprintf(stderr, "baseline snapshot failed: %s\n", s.ToString().c_str());
       return 1;
     }
+    std::printf("self-healing: boot restore %.1f ms, open %.1f ms, start %.1f ms (%s)\n",
+                restore_ms, open_ms, lap_ms(),
+                wal->logs_continued() ? "logs continued" : "rebaselined");
   }
 
   if (flags.replicate_to != 0 && wal == nullptr) {
