@@ -155,8 +155,20 @@ rs_verify
 kill -9 "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
 rs_boot 3 rebaselined
 rs_verify
+kill -9 "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
+# The logs now span boots, so a removed shard log must fail the boot (the
+# sealed log set lists it) instead of restoring less; put back, it boots.
+mv "$RS_DIR/heal/wal.log.p0" "$RS_DIR/kept.p0"
+rs_rc=0
+timeout 20 ./build/tools/shieldstore_server --port 0 --partitions 3 --heal-dir "$RS_DIR/heal" \
+  --stats-interval-s 0 > "$RS_DIR/server.log" 2>&1 || rs_rc=$?
+{ [ "$rs_rc" -ne 0 ] && [ "$rs_rc" -ne 124 ] && grep -q ROLLBACK_DETECTED "$RS_DIR/server.log"; } \
+  || { echo "daemon restart: boot without wal.log.p0 did not fail with a rollback"; cat "$RS_DIR/server.log"; exit 1; }
+mv "$RS_DIR/kept.p0" "$RS_DIR/heal/wal.log.p0"
+rs_boot 3 "logs continued"
+rs_verify
 kill "$RS_PID"; wait "$RS_PID" 2>/dev/null || true
-echo "daemon restart OK (${#RS_ACKED[@]} values and ${#RS_DELETED[@]} deletes verified across 3 restarts)"
+echo "daemon restart OK (${#RS_ACKED[@]} values and ${#RS_DELETED[@]} deletes verified across 4 restarts; a removed shard log fails the boot)"
 
 echo "== multi-process failover smoke: 2 primaries + warm standbys, kill one mid-traffic =="
 # Two shards behind the CLI's consistent-hash cluster mode, each primary

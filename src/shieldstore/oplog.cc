@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <vector>
 
+#include "src/shieldstore/persist.h"
+
 namespace shield::shieldstore {
 namespace {
 
@@ -341,17 +343,17 @@ Status OperationLog::Reset() {
     std::fclose(file_);
     file_ = nullptr;
   }
-  std::remove(options_.path.c_str());
+  // The fresh epoch (header plus its commit record) is written to a temp
+  // file and renamed over the log only once durable: a crash leaves the old
+  // log or the new one, never a missing or empty file.
+  const std::string tmp = options_.path + ".tmp";
   chain_mac_ = crypto::Mac{};
   sequence_ = 0;
   uncommitted_ = 0;
-  const int32_t keep_id = counter_id_;
-  counter_id_ = -1;
-  file_ = std::fopen(options_.path.c_str(), "wb");
+  file_ = std::fopen(tmp.c_str(), "wb");
   if (file_ == nullptr) {
     return Status(Code::kIoError, "cannot recreate log");
   }
-  counter_id_ = keep_id;
   uint8_t header[8];
   std::memcpy(header, kLogMagic, 4);
   StoreLe32(header + 4, static_cast<uint32_t>(counter_id_));
@@ -362,9 +364,17 @@ Status OperationLog::Reset() {
   if (shard_log_bytes_ != nullptr) {
     shard_log_bytes_->Set(8);
   }
-  // Bind the fresh epoch immediately so a replay of the *previous* log epoch
-  // fails the counter check.
-  return Commit();
+  if (Status s = CommitPrepare(); !s.ok()) {
+    return s;
+  }
+  if (fsync(fileno(file_)) != 0 || std::rename(tmp.c_str(), options_.path.c_str()) != 0) {
+    return Status(Code::kIoError, "cannot replace log with a fresh epoch");
+  }
+  const std::string parent = std::filesystem::path(options_.path).parent_path().string();
+  FsyncDirectory(parent.empty() ? "." : parent);
+  // Bind the fresh epoch (the counter bump) only now, so a replay of the
+  // *previous* epoch fails the counter check.
+  return CommitSync();
 }
 
 Status OperationLog::Replay(const sgx::SealingService& sealer,

@@ -147,12 +147,16 @@ class OperationLog {
   Status CommitPrepare();
   Status CommitSync();
 
-  // Truncates the log (after a successful snapshot subsumes it).
+  // Truncates the log to a fresh, committed epoch (after a successful
+  // snapshot subsumes it), keeping its counter. The new epoch replaces the
+  // file atomically, so a crash never leaves the log missing or empty.
   Status Reset();
 
   // Bytes in the log file (header + frames), tracked so the compactor can
   // bound log growth without stat() calls. Read under the caller's lock.
   uint64_t log_bytes() const { return log_bytes_; }
+  // The monotonic counter this log's commits bump (-1 before Open).
+  int32_t counter_id() const { return counter_id_; }
 
   // Replays the committed prefix of the log into `store`, newest state
   // winning. Fails with kIntegrityFailure on any tampering / reordering /

@@ -1,6 +1,5 @@
 #include "src/shieldstore/partitioned.h"
 
-#include "src/common/logging.h"
 #include "src/obs/audit.h"
 
 #include <unistd.h>
@@ -52,28 +51,6 @@ Bytes ArenaAad(uint64_t partition, uint32_t counter_id, uint64_t value) {
 
 // AAD for the sealed route key (<directory>/route.seal).
 constexpr char kRouteAad[] = "SSRT1";
-
-// Replaces `path` with `data` through a temp file, fsync, rename and a
-// directory fsync: a crash leaves the old file or the new one, never a torn
-// mix.
-Status WriteFileAtomic(const std::string& directory, const std::string& name,
-                       const Bytes& data) {
-  const std::string path = directory + "/" + name;
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status(Code::kIoError, "cannot open " + tmp);
-  }
-  const size_t put = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  const bool ok = put == data.size() && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status(Code::kIoError, "cannot write " + path);
-  }
-  FsyncDirectory(directory);
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -137,37 +114,33 @@ Options PartitionedStore::PartitionOptions(size_t count) const {
   return per_partition;
 }
 
-Result<bool> PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer,
-                                                    const std::string& directory) {
-  const ByteSpan aad(reinterpret_cast<const uint8_t*>(kRouteAad), sizeof(kRouteAad) - 1);
+Status PartitionedStore::LoadRouteKey(const sgx::SealingService& sealer,
+                                      const std::string& directory) {
   Result<Bytes> blob = ReadWholeFile(directory + "/route.seal");
-  if (blob.ok()) {
-    Result<Bytes> key = sealer.Unseal(blob.value(), aad);
-    if (key.ok() && key.value().size() == route_key_.size()) {
-      std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
-      return false;
-    }
-    const Status unusable =
-        key.ok() ? Status(Code::kIntegrityFailure, "sealed route key malformed") : key.status();
-    if (persist_) {
-      return unusable;  // the heap files' chains were placed under the sealed key
-    }
-    // Snapshot mode re-routes every restored key, so an unusable blob costs
-    // only a rebaseline under a fresh key.
-    SHIELD_LOG(Warning) << "route key in " << directory
-                        << " unusable, drawing a fresh one: " << unusable.ToString();
-  } else if (blob.status().code() != Code::kNotFound) {
+  if (!blob.ok()) {
     return blob.status();
   }
-  // Persist this process's random route key so later boots route
-  // identically.
+  Result<Bytes> key = sealer.Unseal(blob.value(), AsBytes(kRouteAad));
+  if (!key.ok()) {
+    return key.status();
+  }
+  if (key.value().size() != route_key_.size()) {
+    return Status(Code::kIntegrityFailure, "sealed route key malformed");
+  }
+  std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
+  return Status::Ok();
+}
+
+Status PartitionedStore::SaveRouteKey(const sgx::SealingService& sealer,
+                                      const std::string& directory) const {
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
-  Bytes key(route_key_.begin(), route_key_.end());
-  if (Status s = WriteFileAtomic(directory, "route.seal", sealer.Seal(key, aad)); !s.ok()) {
-    return s;
-  }
-  return true;
+  const Bytes key(route_key_.begin(), route_key_.end());
+  return WriteFileAtomic(directory, "route.seal", sealer.Seal(key, AsBytes(kRouteAad)));
+}
+
+uint64_t PartitionedStore::RouteKeyTag() const {
+  return crypto::SipHash24(route_key_, AsBytes(kRouteAad));
 }
 
 size_t PartitionedStore::PartitionOf(std::string_view key) const {
@@ -394,10 +367,12 @@ Status PartitionedStore::SnapshotPartition(size_t p, const sgx::SealingService& 
 Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
                                           sgx::MonotonicCounterService& counters,
                                           const std::string& directory,
-                                          size_t* baseline_partitions) {
-  *baseline_partitions = 0;
+                                          size_t sealed_partitions) {
   FILE* manifest = std::fopen((directory + "/manifest").c_str(), "r");
   if (manifest == nullptr) {
+    if (sealed_partitions != 0) {
+      return Status(Code::kRollbackDetected, "snapshot manifest missing in " + directory);
+    }
     return Status::Ok();  // nothing was ever snapshotted here
   }
   size_t recorded = 0;
@@ -406,21 +381,26 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
   if (!parsed || recorded == 0) {
     return Status(Code::kIntegrityFailure, "snapshot manifest unreadable in " + directory);
   }
+  if (sealed_partitions != 0 && recorded != sealed_partitions) {
+    return Status(Code::kRollbackDetected, "snapshot manifest geometry was rolled back");
+  }
   // Recover each on-disk partition in the geometry it was snapshotted under,
   // then re-apply its entries through the facade: this run's route key (and
   // possibly partition count) may differ, so every key is re-routed and
   // re-encrypted under its new partition's keys.
   const Options snapshotted = PartitionOptions(recorded);
-  bool complete = true;
   for (size_t i = 0; i < recorded; ++i) {
     const PersistOptions persist{directory + "/p" + std::to_string(i), /*optimized=*/false};
     Result<std::unique_ptr<Store>> restored =
         Snapshotter::Recover(enclave_, snapshotted, sealer, counters, persist);
     if (!restored.ok()) {
       if (restored.status().code() == Code::kNotFound) {
+        if (sealed_partitions != 0) {
+          return Status(Code::kRollbackDetected,
+                        "partition " + std::to_string(i) + " lost its sealed generation");
+        }
         // No generation ever committed for this partition (crash before its
         // first snapshot): its operation log holds its full history.
-        complete = false;
         continue;
       }
       return restored.status();
@@ -430,9 +410,6 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
     if (!applied.ok()) {
       return applied;
     }
-  }
-  if (complete) {
-    *baseline_partitions = recorded;
   }
   return Status::Ok();
 }

@@ -106,11 +106,13 @@ class PartitionedStore : public kv::KeyValueStore {
   // entry through the facade, re-routing and re-encrypting it. No manifest
   // means nothing to restore (Ok); a partition directory whose snapshot
   // never committed is skipped (its operation log holds its full history).
-  // `baseline_partitions` receives the manifest's partition count when
-  // every one of its partitions restored a generation, else 0.
+  // A nonzero `sealed_partitions` is the geometry a sealed record says the
+  // last full baseline wrote: then the manifest must record exactly that
+  // many partitions and every one must restore a generation, or the restore
+  // fails with kRollbackDetected (a deleted generation or manifest).
   Status RestoreSnapshots(const sgx::SealingService& sealer,
                           sgx::MonotonicCounterService& counters, const std::string& directory,
-                          size_t* baseline_partitions);
+                          size_t sealed_partitions);
 
   // Rebuilds partition `p` from its latest snapshot generation under
   // `directory`, then — when `oplog` is given — replays the committed
@@ -136,15 +138,15 @@ class PartitionedStore : public kv::KeyValueStore {
   // Keys route identically across restarts: in persist mode the chains are
   // rebuilt from the per-partition files, not re-routed; in snapshot mode a
   // key's records from two boots must land in the same shard log. The route
-  // key is sealed into `directory/route.seal` (written atomically) on first
-  // boot and re-loaded before any attach or replay. Returns true when the
-  // key was created on this boot. A blob that does not unseal fails typed in
-  // persist mode; snapshot mode replaces it with a fresh key (restore
-  // re-routes every key, so that costs only a rebaseline). Boot-time only:
-  // it rewrites the route key without a lock, so it must run before the
-  // store serves any operation.
-  Result<bool> LoadOrCreateRouteKey(const sgx::SealingService& sealer,
-                                    const std::string& directory);
+  // key is sealed in `directory/route.seal`. LoadRouteKey adopts it:
+  // kNotFound when there is no file, the unseal error (or
+  // kIntegrityFailure) when the blob is unusable. It rewrites the route key
+  // without a lock, so it must run before the store serves any operation.
+  // SaveRouteKey seals this store's key there, atomically.
+  Status LoadRouteKey(const sgx::SealingService& sealer, const std::string& directory);
+  Status SaveRouteKey(const sgx::SealingService& sealer, const std::string& directory) const;
+  // A keyed digest of the route key: equal tags route every key alike.
+  uint64_t RouteKeyTag() const;
 
   // Arena checkpoint of one/all partitions: seals the secure metadata bound
   // to (partition, counter, value+1), runs the arena's plan/commit protocol,

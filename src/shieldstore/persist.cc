@@ -491,6 +491,25 @@ void FsyncDirectory(const std::string& dir) {
   }
 }
 
+Status WriteFileAtomic(const std::string& directory, const std::string& name,
+                       const Bytes& data) {
+  const std::string path = directory + "/" + name;
+  const std::string tmp = path + ".tmp";
+  FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    return Status(Code::kIoError, "cannot open " + tmp);
+  }
+  const size_t put = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
+  const bool ok = put == data.size() && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
+  std::fclose(f);
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status(Code::kIoError, "cannot write " + path);
+  }
+  FsyncDirectory(directory);
+  return Status::Ok();
+}
+
 Result<Bytes> ReadWholeFile(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {

@@ -121,6 +121,11 @@ class Snapshotter {
 Result<Bytes> ReadWholeFile(const std::string& path);
 // Best-effort fsync of a directory, making a rename inside it durable.
 void FsyncDirectory(const std::string& dir);
+// Replaces `directory/name` with `data` through a temp file, fsync, rename
+// and a directory fsync: a crash leaves the old file or the new one, never a
+// torn mix.
+Status WriteFileAtomic(const std::string& directory, const std::string& name,
+                       const Bytes& data);
 
 }  // namespace shield::shieldstore
 

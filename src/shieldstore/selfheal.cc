@@ -1,6 +1,7 @@
 #include "src/shieldstore/selfheal.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +13,57 @@
 #include "src/obs/tracer.h"
 
 namespace shield::shieldstore {
+namespace {
+
+// The sealed log set, <snapshot dir>/wal.seal: the shard logs the last
+// completed rebaseline left and the routing their records follow. Only a
+// boot that finds it, under this boot's geometry and route key, continues
+// the logs, and a restore fails when a log it lists is gone. Plaintext:
+// route-key tag (8) | partitions (8) | each shard log's counter id (4).
+constexpr char kLogSetName[] = "wal.seal";
+constexpr char kLogSetAad[] = "SSWL1";
+
+struct LogSet {
+  uint64_t route_tag = 0;
+  uint64_t partitions = 0;
+  std::vector<uint32_t> counters;  // shard i's log counter id
+};
+
+Bytes EncodeLogSet(const LogSet& set) {
+  Bytes plain(16 + 4 * set.counters.size());
+  StoreLe64(plain.data(), set.route_tag);
+  StoreLe64(plain.data() + 8, set.partitions);
+  for (size_t i = 0; i < set.counters.size(); ++i) {
+    StoreLe32(plain.data() + 16 + 4 * i, set.counters[i]);
+  }
+  return plain;
+}
+
+// kNotFound when no log set is sealed in `directory`.
+Result<LogSet> ReadLogSet(const sgx::SealingService& sealer, const std::string& directory) {
+  Result<Bytes> blob = ReadWholeFile(directory + "/" + kLogSetName);
+  if (!blob.ok()) {
+    return blob.status();
+  }
+  Result<Bytes> plain = sealer.Unseal(blob.value(), AsBytes(kLogSetAad));
+  if (!plain.ok()) {
+    return plain.status();
+  }
+  const Bytes& p = plain.value();
+  if (p.size() < 20 || (p.size() - 16) % 4 != 0) {
+    return Status(Code::kIntegrityFailure, "sealed log set malformed");
+  }
+  LogSet set;
+  set.route_tag = LoadLe64(p.data());
+  set.partitions = LoadLe64(p.data() + 8);
+  for (size_t off = 16; off < p.size(); off += 4) {
+    set.counters.push_back(LoadLe32(p.data() + off));
+  }
+  return set;
+}
+
+}  // namespace
+
 WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                                  sgx::MonotonicCounterService& counters,
                                  const OpLogOptions& options)
@@ -513,63 +565,140 @@ Status WriteAheadStore::ResetAllLogs() {
   return Status::Ok();
 }
 
-std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
-  std::vector<OpLogOptions> found;
-  for (size_t i = 0;; ++i) {
-    OpLogOptions per_shard = options_;
-    per_shard.path = options_.path + ".p" + std::to_string(i);
-    if (!std::filesystem::exists(per_shard.path)) {
-      break;
-    }
-    found.push_back(std::move(per_shard));
+Status WriteAheadStore::Rebaseline(const std::string& directory, CompactionCrash crash) {
+  // 1. Withdraw the sealed log set first: from here until step 4 seals the
+  // new one, the logs may hold records routed under another key or geometry,
+  // and a boot that finds no set does not continue them.
+  if (std::remove((directory + "/" + kLogSetName).c_str()) != 0 && errno != ENOENT) {
+    return Status(Code::kIoError, "cannot withdraw the sealed log set in " + directory);
   }
-  return found;
+  FsyncDirectory(directory);
+  // 2. A generation of every partition: the new baseline.
+  if (Status st = inner_.SnapshotAll(sealer_, counters_, directory); !st.ok()) {
+    return st;
+  }
+  if (crash == CompactionCrash::kBeforeTruncate) {
+    return Status(Code::kIoError, "injected crash before log truncate");
+  }
+  // 3. The baseline subsumes everything the logs held: start every shard
+  // fresh.
+  if (Status st = ResetAllLogs(); !st.ok()) {
+    return st;
+  }
+  // 4. Seal the routing the logs now follow, then the set itself.
+  if (Status st = inner_.SaveRouteKey(sealer_, directory); !st.ok()) {
+    return st;
+  }
+  LogSet set;
+  set.route_tag = inner_.RouteKeyTag();
+  set.partitions = inner_.num_partitions();
+  for (const auto& shard_ptr : shards_) {
+    set.counters.push_back(static_cast<uint32_t>(shard_ptr->log->counter_id()));
+  }
+  return WriteFileAtomic(directory, kLogSetName,
+                         sealer_.Seal(EncodeLogSet(set), AsBytes(kLogSetAad)));
+}
+
+std::vector<OpLogOptions> WriteAheadStore::ShardLogs(size_t count) const {
+  std::vector<OpLogOptions> logs(count, options_);
+  for (size_t i = 0; i < count; ++i) {
+    logs[i].path = options_.path + ".p" + std::to_string(i);
+  }
+  return logs;
+}
+
+size_t WriteAheadStore::ShardLogsOnDisk() const {
+  // One past the highest-numbered shard log, so that a gap (a log removed
+  // while no sealed set lists it) does not hide the logs after it.
+  const std::filesystem::path log(options_.path);
+  const std::string prefix = log.filename().string() + ".p";
+  size_t count = 0;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           log.has_parent_path() ? log.parent_path() : std::filesystem::path("."), ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) != 0) {
+      continue;
+    }
+    size_t index = 0;
+    const char* last = name.data() + name.size();
+    const auto [end, err] = std::from_chars(name.data() + prefix.size(), last, index);
+    if (err == std::errc() && end == last) {  // not wal.log.p<i>.tmp
+      count = std::max(count, index + 1);
+    }
+  }
+  return count;
 }
 
 Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   const auto restore_start = std::chrono::steady_clock::now();
   logs_continued_ = false;
-  // Phase 0: the sealed route key, loaded FIRST in both modes. In persist
-  // mode the files' chain placement was routed under it; in snapshot mode
-  // the shard logs were, so continuing them needs the same key.
-  const std::string& route_dir =
-      inner_.persist_enabled() ? inner_.persist_dir() : snapshot_directory;
-  Result<bool> route_created = inner_.LoadOrCreateRouteKey(sealer_, route_dir);
-  if (!route_created.ok()) {
-    return route_created.status();
-  }
-  size_t baseline_partitions = 0;
+  std::optional<LogSet> sealed;
   if (inner_.persist_enabled()) {
-    // Phase 1, persist mode: attach the mmap'd heap files. Attach is O(1) in
-    // entry count (superblock + sealed metadata, no entry decrypt);
-    // per-entry MACs re-verify lazily on first touch.
-    if (Status st = inner_.AttachPersistent(sealer_, counters_); !st.ok()) {
+    // Phase 1, persist mode: the sealed route key FIRST (the files' chain
+    // placement was routed under it; the first boot seals this process's),
+    // then attach the mmap'd heap files. Attach is O(1) in entry count
+    // (superblock + sealed metadata, no entry decrypt); per-entry MACs
+    // re-verify lazily on first touch.
+    Status st = inner_.LoadRouteKey(sealer_, inner_.persist_dir());
+    if (st.code() == Code::kNotFound) {
+      st = inner_.SaveRouteKey(sealer_, inner_.persist_dir());
+    }
+    if (!st.ok()) {
       return st;
     }
-  } else if (Status st = inner_.RestoreSnapshots(sealer_, counters_, snapshot_directory,
-                                                 &baseline_partitions);
-             !st.ok()) {
+    if (Status attached = inner_.AttachPersistent(sealer_, counters_); !attached.ok()) {
+      return attached;
+    }
+  } else {
+    // Phase 0: the route key and the log set the last rebaseline sealed. A
+    // missing or unusable route key leaves this process's fresh one, which
+    // no sealed set matches, so the boot rebaselines under it (restore
+    // re-routes every key). A log set that does not unseal is tampering.
+    if (Status st = inner_.LoadRouteKey(sealer_, snapshot_directory);
+        !st.ok() && st.code() != Code::kNotFound) {
+      SHIELD_LOG(Warning) << "route key in " << snapshot_directory
+                          << " unusable, rebaselining under a fresh one: " << st.ToString();
+    }
+    Result<LogSet> set = ReadLogSet(sealer_, snapshot_directory);
+    if (set.ok()) {
+      sealed = std::move(set.value());
+    } else if (set.status().code() != Code::kNotFound) {
+      return set.status();
+    }
     // Phase 1: every partition snapshot under the manifest's geometry,
-    // applied through the facade.
-    return st;
+    // applied through the facade; a sealed set vouches for all of them.
+    if (Status st = inner_.RestoreSnapshots(sealer_, counters_, snapshot_directory,
+                                            sealed ? sealed->partitions : 0);
+        !st.ok()) {
+      return st;
+    }
   }
-  // Phase 2: the committed suffix of every log on disk, straight to the
-  // inner store (not re-logged). Each partition's snapshot precedes its log
-  // records because phase 1 ran first; logs never cross partitions, so any
-  // inter-log order converges. kNotFound = empty/fresh log, nothing to do.
-  // Each replay also reports its log's committed tail, which Open() uses
-  // instead of reading the log a second time.
-  const std::vector<OpLogOptions> logs = ShardLogsOnDisk();
-  const bool before_open = shards_.front()->log == nullptr;
+  // Phase 2: the committed suffix of every shard log, straight to the inner
+  // store (not re-logged): exactly the logs a sealed set lists, else every
+  // log on disk. Each partition's snapshot precedes its log records because
+  // phase 1 ran first; logs never cross partitions, so any inter-log order
+  // converges. Each replay also reports its log's committed tail, which
+  // Open() uses instead of reading the log a second time.
+  const std::vector<OpLogOptions> logs =
+      ShardLogs(sealed ? sealed->counters.size() : ShardLogsOnDisk());
   std::vector<std::optional<LogTail>> tails(logs.size());
   const auto replay_one = [&](size_t i) {
     LogTail tail;
-    Status st = OperationLog::Replay(sealer_, counters_, logs[i], inner_, &tail);
-    if (st.ok()) {
-      tails[i] = tail;
-    } else if (st.code() != Code::kNotFound) {
+    const Status st = OperationLog::Replay(sealer_, counters_, logs[i], inner_, &tail);
+    if (st.code() == Code::kNotFound) {
+      // A missing or empty log: nothing was ever committed to it, unless a
+      // sealed set lists it — every listed log committed its fresh epoch.
+      return sealed ? Status(Code::kRollbackDetected, logs[i].path + " was removed or emptied")
+                    : Status::Ok();
+    }
+    if (!st.ok()) {
       return Status(st.code(), "replaying " + logs[i].path + ": " + st.message());
     }
+    if (sealed && tail.counter_id != static_cast<int32_t>(sealed->counters[i])) {
+      return Status(Code::kRollbackDetected, logs[i].path + " is not the sealed shard log");
+    }
+    tails[i] = tail;
     return Status::Ok();
   };
   // Shard logs hold disjoint key sets — every record of a key went to its
@@ -610,18 +739,16 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   if (!first_error.ok()) {
     return first_error;
   }
-  if (before_open) {
-    for (size_t i = 0; i < std::min(logs.size(), shards_.size()); ++i) {
+  for (size_t i = 0; i < std::min(logs.size(), shards_.size()); ++i) {
+    if (shards_[i]->log == nullptr) {  // an open log already sits at its tail
       shards_[i]->replayed = tails[i];
     }
   }
   // The logs continue (SelfHealer::Start() skips the rebaseline) only when
-  // they can take this boot's records without breaking per-key order: same
-  // route key, same partition count as a complete baseline, one file per
-  // current shard. Persist mode always checkpoints at Start().
-  logs_continued_ = before_open && !inner_.persist_enabled() && !route_created.value() &&
-                    baseline_partitions == inner_.num_partitions() &&
-                    logs.size() == shards_.size();
+  // the last rebaseline completed under this boot's route key and geometry.
+  logs_continued_ = sealed && sealed->route_tag == inner_.RouteKeyTag() &&
+                    sealed->partitions == inner_.num_partitions() &&
+                    sealed->counters.size() == shards_.size();
   // heap.restart_ns records the whole baseline-plus-tail restore (the number
   // the persistent heap exists to shrink); set only on success.
   metrics_->GetGauge("heap.restart_ns")
@@ -709,16 +836,12 @@ Status SelfHealer::Start() {
     return wal_.ResetAllLogs();
   }
   if (wal_.logs_continued()) {
-    // Restore proved the snapshots plus the committed logs are this boot's
-    // baseline already; compaction folds the logs later, as in steady state.
+    // The sealed log set matched: the snapshots plus the committed logs are
+    // this boot's baseline already; compaction folds the logs later, as in
+    // steady state.
     return Status::Ok();
   }
-  if (Status st = wal_.inner().SnapshotAll(sealer_, counters_, options_.directory); !st.ok()) {
-    return st;
-  }
-  // The baseline generation subsumes everything the logs held: start every
-  // shard fresh.
-  return wal_.ResetAllLogs();
+  return wal_.Rebaseline(options_.directory);
 }
 
 Status SelfHealer::last_error() const {

@@ -111,32 +111,45 @@ class WriteAheadStore : public kv::KeyValueStore {
 
   // Commits and truncates every shard log to a fresh epoch, deleting any
   // stale shard files beyond the current count. Call right after a baseline
-  // SnapshotAll: the snapshots subsume everything the logs held.
+  // (SnapshotAll, or persist mode's CheckpointAll): it subsumes everything
+  // the logs held.
   Status ResetAllLogs();
 
+  // Snapshot mode's full rebaseline, the whole-store analogue of
+  // CompactShard: withdraws the sealed log set (<directory>/wal.seal),
+  // snapshots every partition (SnapshotAll), resets every shard log, then
+  // seals the route key (route.seal) and a new log set naming this
+  // geometry, the route key and each shard log's counter. A crash before the
+  // last step leaves no log set, so the next boot rebaselines again. Of the
+  // crash points only kBeforeTruncate applies (tests).
+  Status Rebaseline(const std::string& directory,
+                    CompactionCrash crash = CompactionCrash::kNone);
+
   // Route-agnostic restore of a previous run's durable state into the
-  // (empty) inner store. It first loads (or, on first boot, creates) the
-  // route key sealed in `snapshot_directory`, then applies every partition
+  // (empty) inner store. In snapshot mode it first loads the route key and
+  // the log set sealed in `snapshot_directory`, then applies every partition
   // snapshot generation there (the SnapshotAll layout of ANY geometry; keys
-  // are re-routed through the facade), then the committed suffix of every
-  // shard log found on disk. Call before Open() and before serving, then
-  // SelfHealer::Start(): each log is read once, and when logs_continued()
-  // the logs take this boot's records after their last commit. Called after
-  // Open(), it still restores, but Start() rebaselines.
+  // are re-routed through the facade), then the committed suffix of the
+  // shard logs: those the log set lists, or, with no set, every one on disk.
+  // A listed log that is missing, empty or carries another counter, or a
+  // listed partition without a generation, fails with kRollbackDetected.
+  // Call before SelfHealer::Start() and before serving. Called before
+  // Open(), it hands each log's committed tail to Open(), so each log is
+  // read once; called after, each log is read twice, with the same result.
   //
   // With Options::persist_dir the baseline is the mmap'd heap files, not
-  // snapshots: the sealed route key is loaded (so routing matches the files'
-  // chain layout), every partition attaches its arena's committed generation
-  // — O(1) in entry count, per-entry MAC verification deferred to first
-  // touch — and only the WAL tail replays. Sets the heap.restart_ns gauge.
+  // snapshots: the route key sealed in the heap directory is loaded (so
+  // routing matches the files' chain layout; the first boot seals it),
+  // every partition attaches its arena's committed generation — O(1) in
+  // entry count, per-entry MAC verification deferred to first touch — and
+  // only the WAL tail replays. Sets the heap.restart_ns gauge.
   Status RestoreFromDisk(const std::string& snapshot_directory);
-  // True when the last RestoreFromDisk found logs that this boot can append
-  // to: it ran before Open(), in snapshot mode, the route key was loaded
-  // (not created), the manifest's partition count matches and every
-  // partition has a generation, and one log file exists per current shard.
-  // Otherwise a key's records could land in a different shard log than its
-  // older ones, and a parallel replay could apply them out of order, so the
-  // boot must rebaseline.
+  // True when the last RestoreFromDisk found a sealed log set written under
+  // this boot's route key, partition count and shard count: the logs then
+  // take this boot's records after their last commit, and a key's records
+  // from every boot sit in one log in order. Otherwise (first boot, a
+  // geometry or route-key change, a crash mid-rebaseline, persist mode)
+  // SelfHealer::Start() must rebaseline.
   bool logs_continued() const { return logs_continued_; }
 
   // Copies the committed persistent-heap files (p<i>.heap + route.seal) into
@@ -221,7 +234,10 @@ class WriteAheadStore : public kv::KeyValueStore {
   // sink is installed. Never fails the caller: a sink rejection only bumps
   // wal.ship_failures.
   void ShipLocked(Shard& s);
-  std::vector<OpLogOptions> ShardLogsOnDisk() const;
+  // Options for shard logs .p0 .. .p<count-1>.
+  std::vector<OpLogOptions> ShardLogs(size_t count) const;
+  // One past the highest shard log index on disk (0 when there is none).
+  size_t ShardLogsOnDisk() const;
 
   PartitionedStore& inner_;
   const sgx::SealingService& sealer_;
@@ -282,9 +298,9 @@ class SelfHealer {
   // traffic; recovery = the baseline + each shard's log from then on. When
   // the WAL's logs_continued(), the snapshots plus the committed logs are
   // that baseline already and nothing is written. Otherwise (first boot, a
-  // geometry or route-key change, a restore after Open()) it writes a
-  // snapshot of every (healthy) partition and truncates the shard logs it
-  // subsumes. Persist mode always checkpoints every arena and truncates.
+  // geometry or route-key change, a crash mid-rebaseline) it runs
+  // WriteAheadStore::Rebaseline. Persist mode always checkpoints every
+  // arena and truncates the logs.
   Status Start();
 
   // One maintenance step: recover at most one quarantined partition, else

@@ -118,7 +118,11 @@ class WalShardingTest : public ::testing::Test {
   // `seed` seeds the enclave that draws this process's route key, so a boot
   // that ignored the sealed key would route keys differently than the last.
   // Replay is sequential: the order in which logs apply is deterministic.
-  Stack Boot(const std::string& seed, size_t partitions, size_t wal_shards = 0) {
+  // A `rebaseline_crash` runs the rebaseline with that crash point in place
+  // of SelfHealer::Start().
+  Stack Boot(const std::string& seed, size_t partitions, size_t wal_shards = 0,
+             WriteAheadStore::CompactionCrash rebaseline_crash =
+                 WriteAheadStore::CompactionCrash::kNone) {
     Stack s;
     s.enclave = std::make_unique<sgx::Enclave>(TestEnclaveConfig(seed.c_str()));
     s.store = std::make_unique<PartitionedStore>(*s.enclave, SmallOptions(), partitions);
@@ -135,9 +139,27 @@ class WalShardingTest : public ::testing::Test {
       s.booted = s.wal->Open();
     }
     if (s.booted.ok()) {
-      s.booted = s.healer->Start();
+      s.booted = rebaseline_crash == WriteAheadStore::CompactionCrash::kNone
+                     ? s.healer->Start()
+                     : s.wal->Rebaseline(SnapshotDir(), rebaseline_crash);
     }
     return s;
+  }
+
+  // Overwrites keys k0..k63 with `tag` values, deleting every seventh key
+  // that `acked` holds; `acked` follows every ack.
+  static void OverwriteAndDelete(WriteAheadStore& wal, const std::string& tag,
+                                 std::map<std::string, std::string>& acked) {
+    for (int i = 0; i < 64; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      if (i % 7 == 3 && acked.count(key) != 0) {
+        ASSERT_TRUE(wal.Delete(key).ok());
+        acked.erase(key);
+        continue;
+      }
+      ASSERT_TRUE(wal.Set(key, tag + "-" + std::to_string(i)).ok());
+      acked[key] = tag + "-" + std::to_string(i);
+    }
   }
 
   sgx::Enclave enclave_;
@@ -673,6 +695,151 @@ TEST_F(WalShardingTest, SwappedInPreRestartShardLogFailsBootWithRollback) {
                              std::filesystem::copy_options::overwrite_existing);
   Stack s = Boot("swap-2", 2);
   EXPECT_EQ(s.booted.code(), Code::kRollbackDetected) << s.booted.ToString();
+}
+
+// A crash inside a rebaseline, after the new baseline's manifest and
+// generations but before the shard logs restart, leaves logs whose records
+// follow the old geometry. Here 4 partitions over 2 shards shrink to 2: keys
+// of old partition 1 (shard 1) move to partition 0 (shard 0). A boot that
+// continued those logs would put a key's new records in shard 0 after its
+// old ones in shard 1, and the ordered replay of the last boot would bring
+// back overwritten values and deleted keys. A boot back in the old geometry
+// after such a crash must not trust the old sealed log set either: the
+// manifest it vouched for is gone.
+TEST_F(WalShardingTest, CrashMidRebaselineNeverContinuesTheLogs) {
+  std::map<std::string, std::string> acked;
+  const auto crash_shrinking_to_two = [&](const std::string& seed) {
+    Stack s = Boot(seed, 2, 2, WriteAheadStore::CompactionCrash::kBeforeTruncate);
+    ASSERT_EQ(s.booted.code(), Code::kIoError) << s.booted.ToString();
+  };
+  {
+    Stack s = Boot("mid-rebaseline-0", 4, 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    OverwriteAndDelete(*s.wal, "boot0", acked);
+  }
+  crash_shrinking_to_two("mid-rebaseline-1");
+  {
+    Stack s = Boot("mid-rebaseline-2", 4, 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_FALSE(s.wal->logs_continued()) << "an unfinished rebaseline must be redone";
+    EXPECT_EQ(Dump(*s.store), acked);
+    OverwriteAndDelete(*s.wal, "boot2", acked);
+  }
+  crash_shrinking_to_two("mid-rebaseline-3");
+  {
+    Stack s = Boot("mid-rebaseline-4", 2, 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_FALSE(s.wal->logs_continued()) << "an unfinished rebaseline must be redone";
+    EXPECT_EQ(Dump(*s.store), acked);
+    OverwriteAndDelete(*s.wal, "boot4", acked);
+  }
+  Stack last = Boot("mid-rebaseline-5", 2, 2);
+  ASSERT_TRUE(last.booted.ok()) << last.booted.ToString();
+  EXPECT_TRUE(last.wal->logs_continued());
+  EXPECT_EQ(Dump(*last.store), acked);
+}
+
+// A boot that found no usable route key draws a fresh one and rebaselines.
+// Even if that key became durable and the boot then crashed before its logs
+// restarted, the next boot loads the new key over logs routed under the old
+// one: it must rebaseline, not continue them.
+TEST_F(WalShardingTest, CrashAfterFreshRouteKeyNeverContinuesOldLogs) {
+  std::map<std::string, std::string> acked;
+  {
+    Stack s = Boot("fresh-key-0", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    OverwriteAndDelete(*s.wal, "boot0", acked);
+  }
+  ASSERT_TRUE(std::filesystem::remove(SnapshotDir() + "/route.seal"));
+  {
+    Stack s = Boot("fresh-key-1", 2, 0, WriteAheadStore::CompactionCrash::kBeforeTruncate);
+    ASSERT_EQ(s.booted.code(), Code::kIoError) << s.booted.ToString();
+    ASSERT_TRUE(s.store->SaveRouteKey(*sealer_, SnapshotDir()).ok());
+  }
+  {
+    Stack s = Boot("fresh-key-2", 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    EXPECT_FALSE(s.wal->logs_continued()) << "the logs follow the old route key";
+    EXPECT_EQ(Dump(*s.store), acked);
+    OverwriteAndDelete(*s.wal, "boot2", acked);
+  }
+  Stack last = Boot("fresh-key-3", 2);
+  ASSERT_TRUE(last.booted.ok()) << last.booted.ToString();
+  EXPECT_TRUE(last.wal->logs_continued());
+  EXPECT_EQ(Dump(*last.store), acked);
+}
+
+// Continued logs span boots, so losing one would lose every acked write to
+// its shard since the last rebaseline. The sealed log set names them: a
+// removed or emptied shard log, or a removed partition generation, fails
+// the boot instead of restoring less.
+TEST_F(WalShardingTest, RemovedOrEmptiedShardLogFailsBootWithRollback) {
+  std::map<std::string, std::string> acked;
+  for (int boot = 0; boot < 2; ++boot) {
+    Stack s = Boot("removed-" + std::to_string(boot), 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    OverwriteAndDelete(*s.wal, "boot" + std::to_string(boot), acked);
+  }
+  const std::string shard0 = LogOptions().path + ".p0";
+  const std::string kept = dir_ + "/kept.p0";
+  std::filesystem::copy_file(shard0, kept);
+  const auto put_back = [&] {
+    std::filesystem::copy_file(kept, shard0, std::filesystem::copy_options::overwrite_existing);
+  };
+
+  ASSERT_TRUE(std::filesystem::remove(shard0));
+  EXPECT_EQ(Boot("removed-2", 2).booted.code(), Code::kRollbackDetected);
+
+  put_back();
+  std::filesystem::resize_file(shard0, 0);
+  EXPECT_EQ(Boot("removed-3", 2).booted.code(), Code::kRollbackDetected);
+  {
+    // Open() before the restore recreates the empty log under a fresh
+    // counter; the restore still refuses it.
+    sgx::Enclave enclave2(TestEnclaveConfig("removed-open-first"));
+    PartitionedStore store2(enclave2, SmallOptions(), 2);
+    WriteAheadStore wal2(store2, *sealer_, *counters_, LogOptions());
+    ASSERT_TRUE(wal2.Open().ok());
+    EXPECT_EQ(wal2.RestoreFromDisk(SnapshotDir()).code(), Code::kRollbackDetected);
+  }
+
+  put_back();
+  const std::string generation = SnapshotDir() + "/p1";
+  std::filesystem::rename(generation, dir_ + "/kept-p1");
+  EXPECT_EQ(Boot("removed-4", 2).booted.code(), Code::kRollbackDetected);
+  std::filesystem::rename(dir_ + "/kept-p1", generation);
+
+  Stack s = Boot("removed-5", 2);
+  ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+  EXPECT_TRUE(s.wal->logs_continued());
+  EXPECT_EQ(Dump(*s.store), acked);
+}
+
+// Without a sealed log set (removed along with shard log 0), the removal
+// goes undetected, but a gap in the shard log numbering must not hide the
+// logs after it: shard 1's acked writes still come back.
+TEST_F(WalShardingTest, ShardLogGapWithoutLogSetHidesNoLaterLog) {
+  std::map<std::string, std::string> acked;
+  for (int boot = 0; boot < 2; ++boot) {
+    Stack s = Boot("gap-" + std::to_string(boot), 2);
+    ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+    OverwriteAndDelete(*s.wal, "boot" + std::to_string(boot), acked);
+  }
+  ASSERT_TRUE(std::filesystem::remove(SnapshotDir() + "/wal.seal"));
+  ASSERT_TRUE(std::filesystem::remove(LogOptions().path + ".p0"));
+  Stack s = Boot("gap-2", 2);
+  ASSERT_TRUE(s.booted.ok()) << s.booted.ToString();
+  EXPECT_FALSE(s.wal->logs_continued());
+  size_t checked = 0;
+  for (const auto& [key, value] : acked) {
+    if (s.store->PartitionOf(key) == 1) {
+      const Result<std::string> got = s.wal->Get(key);
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), value) << key;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 10u);
 }
 
 TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {

@@ -283,10 +283,12 @@ int main(int argc, char** argv) {
     healer = std::make_unique<shieldstore::SelfHealer>(*wal, *sealer, *counters, heal_opts);
     // Boot: restore the previous run's durable state (baseline snapshots +
     // the committed suffix of every shard log) into the empty store, open
-    // the logs at the committed tails that replay found, then Start():
-    // a restart whose logs can continue skips the rebaseline, a first boot
-    // or a geometry/route-key change writes one. Replayed ops go straight to
-    // the inner store so they are not re-logged.
+    // the logs at the committed tails that replay found, then Start(): a
+    // restart that finds the log set sealed by the last rebaseline under its
+    // own route key and geometry continues the logs; a first boot, a
+    // geometry or route-key change, or a crash mid-rebaseline writes a new
+    // baseline. Replayed ops go straight to the inner store so they are not
+    // re-logged.
     auto phase_start = std::chrono::steady_clock::now();
     const auto lap_ms = [&phase_start] {  // milliseconds since the last lap
       const auto now = std::chrono::steady_clock::now();
